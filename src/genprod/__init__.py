@@ -16,7 +16,6 @@ from .contraction import (
     equiv_theorem_audit,
     is_nonexpansive,
     lp_gamma,
-    make_additive_norm,
     probe_strict_monotonicity,
     random_semisimple_nonexpansive,
 )
@@ -53,6 +52,7 @@ from .products import (
     Permutation,
     ProductSchedule,
     ProductStep,
+    SequenceExhaustedError,
     bound_from_condition_C,
     monitor_convergence,
     restrict_stream,
@@ -82,7 +82,6 @@ from .stochastic import (
     StochasticityError,
     accumulation_corollary_check,
     ergodicity_coefficient_l1,
-    ergodicity_subspace,
     general_coefficient,
     is_stochastic,
     overlap_probe,

@@ -20,13 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contraction, matio, products, series, spectral, stochastic
+from . import contraction, matio, products, spectral, stochastic
 from .norms import (
     InvarianceError,
-    L1,
     RankAmbiguityError,
-    Subspace,
-    as_matrix,
     operator_norm,
     partial_norm,
     vector_norm,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .norms import (
     AdditiveNorm,
-    InvarianceError,
     L2,
     NORM_TOL,
     PNorm,
@@ -371,11 +370,6 @@ def check_H_contractor(A, H: Subspace, norm: VectorNorm, *,
     return ContractionVerdict(
         Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
         note="contraction ratio known only as a sampled lower bound")
-
-
-def make_additive_norm(base: VectorNorm, H: Subspace, K: Subspace) -> AdditiveNorm:
-    """Norm that agrees with ``base`` on H and on K and adds across the split."""
-    return additive_norm(base, H, K)
 
 
 # ---------------------------------------------------------------------------

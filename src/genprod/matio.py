@@ -224,11 +224,11 @@ def subspace_from_config(cfg) -> Subspace:
         raise ConfigError("subspace config must be an object with a 'kind'")
     kind = cfg["kind"]
     if kind == "mean_zero":
-        return mean_zero_subspace(int(cfg["n"]))
+        return mean_zero_subspace(int(_get(cfg, "n", "subspace")))
     if kind == "full":
-        return Subspace.full(int(cfg["n"]))
+        return Subspace.full(int(_get(cfg, "n", "subspace")))
     if kind == "zero":
-        return Subspace.zero(int(cfg["n"]))
+        return Subspace.zero(int(_get(cfg, "n", "subspace")))
     if kind == "span":
         vecs = cfg.get("vectors", [])
         if not vecs:

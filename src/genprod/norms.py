@@ -8,7 +8,7 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -247,22 +247,22 @@ def numerical_rank(singular_values, floor: float = RANK_FLOOR,
     return rank
 
 
+def _split(A, tol: float) -> tuple[Subspace, Subspace]:
+    """Fixed space of A and range of (I - A), from one SVD of (I - A)."""
+    A = as_matrix(A)
+    u, s, vh = np.linalg.svd(np.eye(A.shape[0]) - A)
+    rank = numerical_rank(s, floor=tol)
+    return Subspace(vh[rank:].conj().T), Subspace(u[:, :rank])
+
+
 def fixed_point_space(A, tol: float = RANK_FLOOR) -> Subspace:
     """Nullspace of (I - A): the fixed vectors of A."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    _, s, vh = np.linalg.svd(np.eye(n) - A)
-    rank = numerical_rank(s, floor=tol)
-    return Subspace(vh[rank:].conj().T)
+    return _split(A, tol)[0]
 
 
 def range_complement(A, tol: float = RANK_FLOOR) -> Subspace:
     """Range of (I - A), the natural invariant complement to the fixed space."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    u, s, _ = np.linalg.svd(np.eye(n) - A)
-    rank = numerical_rank(s, floor=tol)
-    return Subspace(u[:, :rank])
+    return _split(A, tol)[1]
 
 
 class SplittingReport(NamedTuple):
@@ -280,12 +280,7 @@ def complementary_pair(A, tol: float = RANK_FLOOR) -> SplittingReport:
     (equivalently, eigenvalue 1 of A has no nontrivial Jordan structure),
     decided by the smallest singular value of the stacked basis.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    u, s, vh = np.linalg.svd(np.eye(n) - A)
-    rank = numerical_rank(s, floor=tol)
-    fixed = Subspace(vh[rank:].conj().T)
-    moving = Subspace(u[:, :rank])
+    fixed, moving = _split(A, tol)
     stacked = np.hstack([fixed.basis, moving.basis])
     if stacked.shape[1] == 0:
         return SplittingReport(fixed, moving, True, 1.0)
@@ -602,6 +597,21 @@ class PartialNormResult:
         return self.method == "closed_form"
 
 
+def max_column_distance(A: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest absolute-sum distance between two columns of A (n >= 2).
+
+    Returns the distance and the first pair (j, l), j < l, attaining it in
+    (j, l) order.  One row of pairs at a time, so memory stays O(n^2).
+    """
+    best, pair = -1.0, (0, 1)
+    for j in range(A.shape[1] - 1):
+        diff = np.abs(A[:, j + 1:] - A[:, j:j + 1]).sum(axis=0)
+        l = int(np.argmax(diff))
+        if diff[l] > best:
+            best, pair = float(diff[l]), (j, j + 1 + l)
+    return best, pair
+
+
 def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
     """Candidate directions in basis coordinates: random plus structured.
 
@@ -725,15 +735,8 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                                      "single_direction", tol)
         if isinstance(norm, PNorm) and norm.p == 1.0 and \
                 not np.iscomplexobj(A) and is_mean_zero_subspace(H):
-            n = A.shape[0]
-            best, pair = -1.0, (0, 1)
-            for j in range(n):
-                diff = np.abs(A[:, j:j + 1] - A[:, j + 1:]).sum(axis=0)
-                if diff.size:
-                    l = int(np.argmax(diff))
-                    if diff[l] > best:
-                        best, pair = float(diff[l]), (j, j + 1 + l)
-            w = np.zeros(n)
+            best, pair = max_column_distance(A)
+            w = np.zeros(A.shape[0])
             w[pair[0]], w[pair[1]] = 0.5, -0.5
             return PartialNormResult(best / 2.0, _readonly(w), "closed_form",
                                      "mean_zero_extreme_pairs", tol)

@@ -9,14 +9,14 @@ fully re-ordered products that must be recomputed each step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .norms import L1, VectorNorm, as_matrix, operator_norm, restrict
-from .norms import InvarianceError, Subspace, check_invariance
-from .series import TailModel, mu_minus, mu_plus
+from .norms import InvarianceError, Subspace, VectorNorm, as_matrix
+from .norms import operator_norm, restrict
+from .series import TailModel, mu_plus
 
 UNDERFLOW_CLAMP = 1e-300
 OVERFLOW_LIMIT = 1e300
@@ -26,13 +26,21 @@ OVERFLOW_LIMIT = 1e300
 # Sequences
 # ---------------------------------------------------------------------------
 
+class SequenceExhaustedError(IndexError, ValueError):
+    """A finite sequence was asked for a factor past its end.
+
+    An IndexError to sequence-style callers and a validation error (a
+    ValueError) to the CLI.
+    """
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixSequence:
     """A finite or infinite sequence of same-sized square matrices.
 
     Either ``factors`` (explicit finite list) or ``rule`` (1-based index ->
-    matrix) is set.  Explicit sequences raise IndexError when a product needs
-    factors past their end.
+    matrix) is set.  Explicit sequences raise SequenceExhaustedError (an
+    IndexError) when a product needs factors past their end.
     """
 
     n: int
@@ -57,7 +65,7 @@ class MatrixSequence:
             raise ValueError("factor indices are 1-based")
         if self.factors is not None:
             if i > len(self.factors):
-                raise IndexError(
+                raise SequenceExhaustedError(
                     f"sequence {self.name or '<explicit>'} has only "
                     f"{len(self.factors)} factors, index {i} requested")
             return self.factors[i - 1]
@@ -206,14 +214,22 @@ class ProductSchedule:
 class ProductStep:
     """One step of a streamed general product.
 
-    ``positions`` lists the permuted-sequence positions in multiplication
-    order (left to right); ``order`` maps them to original-sequence indices.
+    ``factor`` is the matrix that entered at position p + r.  ``positions``
+    lists the permuted-sequence positions in multiplication order (left to
+    right): a ``range`` for the nested orders, the drawn or listed tuple for
+    the re-ordering ones.  ``order`` maps them to original-sequence indices
+    and is worked out only when read.
     """
 
     r: int
     matrix: np.ndarray
-    positions: tuple[int, ...]
-    order: tuple[int, ...]
+    factor: np.ndarray
+    positions: Sequence[int]
+    permutation: Permutation
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.permutation.index_at(q) for q in self.positions)
 
     def factor_positions(self) -> frozenset[int]:
         return frozenset(self.positions)
@@ -223,59 +239,50 @@ def stream_general_product(seq: MatrixSequence, sched: ProductSchedule,
                            max_r: int) -> Iterator[ProductStep]:
     """Yield the general products for r = 1..max_r under one schedule.
 
-    Incremental policies (left/right) cost one multiplication per step; the
-    re-ordering policies recompute the full r-fold product each step.  At
-    every step the factor multiset is positions p+1..p+r of the permuted
-    sequence, whatever the ordering.
+    Step r fetches one new factor, the one at position p + r.  Nested
+    policies (left/right) cost one multiplication per step; the re-ordering
+    policies keep every factor fetched so far and recompute the full r-fold
+    product each step.  At every step the factor multiset is positions
+    p+1..p+r of the permuted sequence, whatever the ordering.
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    ordering = sched.ordering
+    ordering, p = sched.ordering, sched.p
     if ordering.kind == "explicit" and len(ordering.orders) < max_r:
         raise ValueError(
             f"explicit ordering lists {len(ordering.orders)} steps, "
             f"max_r={max_r} requested")
     cache: dict[int, np.ndarray] = {}
-
-    def factor_at(pos: int) -> np.ndarray:
-        if pos not in cache:
-            cache[pos] = seq.factor(sched.permutation.index_at(pos))
-        return cache[pos]
-
-    if ordering.incremental:
-        C = None
-        positions: tuple[int, ...] = ()
-        for r in range(1, max_r + 1):
-            pos = sched.p + r
-            B = factor_at(pos)
-            if C is None:
-                C, positions = B.copy(), (pos,)
-            elif ordering.kind == "left":
-                C, positions = C @ B, positions + (pos,)
-            else:
-                C, positions = B @ C, (pos,) + positions
-            C.setflags(write=False)  # yielded array doubles as running state
-            order = tuple(sched.permutation.index_at(q) for q in positions)
-            yield ProductStep(r, C, positions, order)
-        return
-
+    C = None
     for r in range(1, max_r + 1):
-        want = set(range(sched.p + 1, sched.p + r + 1))
-        if ordering.kind == "random":
+        if ordering.kind == "left":
+            positions = range(p + 1, p + r + 1)
+        elif ordering.kind == "right":
+            positions = range(p + r, p, -1)
+        elif ordering.kind == "random":
             rng = np.random.default_rng([ordering.seed, r])
-            positions = tuple(sched.p + 1 + int(i) for i in rng.permutation(r))
+            positions = tuple(p + 1 + int(i) for i in rng.permutation(r))
         else:
             positions = ordering.orders[r - 1]
+            want = set(range(p + 1, p + r + 1))
             if set(positions) != want or len(positions) != r:
                 raise ValueError(
                     f"explicit order for step {r} must be a permutation of "
                     f"positions {sorted(want)}, got {positions}")
-        C = factor_at(positions[0]).copy()
-        for pos in positions[1:]:
-            C = C @ factor_at(pos)
-        C.setflags(write=False)
-        order = tuple(sched.permutation.index_at(q) for q in positions)
-        yield ProductStep(r, C, positions, order)
+        B = seq.factor(sched.permutation.index_at(p + r))
+        if not ordering.incremental:
+            cache[p + r] = B
+            C = cache[positions[0]].copy()
+            for pos in positions[1:]:
+                C = C @ cache[pos]
+        elif C is None:
+            C = B.copy()
+        elif ordering.kind == "left":
+            C = C @ B
+        else:
+            C = B @ C
+        C.setflags(write=False)  # yielded array doubles as running state
+        yield ProductStep(r, C, B, positions, sched.permutation)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +363,7 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     crossing = None
     for step in stream_general_product(seq, sched, max_r):
         mu = operator_norm(step.matrix, norm)
-        fmus.append(operator_norm(seq.factor(
-            sched.permutation.index_at(sched.p + step.r)), norm))
+        fmus.append(operator_norm(step.factor, norm))
         if mu > OVERFLOW_LIMIT:
             overflow_at = step.r
             rs.append(step.r)

@@ -19,10 +19,11 @@ from .norms import (
     Subspace,
     VectorNorm,
     as_matrix,
+    mean_zero_subspace,
     partial_norm,
     restrict,
 )
-from .stochastic import ergodicity_subspace, validate_stochastic
+from .stochastic import validate_stochastic
 
 CLUSTER_REL_TOL = 1e-6
 RANK_REL_TOL = 1e-9
@@ -247,7 +248,7 @@ def stochastic_simple_one(A, norm: VectorNorm = L1, *, tol: float = 1e-8,
     tolerance).
     """
     A = validate_stochastic(A)
-    H = ergodicity_subspace(A.shape[0])
+    H = mean_zero_subspace(A.shape[0])
     res = partial_norm(A, H, norm, samples=samples, seed=seed)
     if not res.is_exact or res.value >= 1.0:
         raise ValueError(

@@ -23,18 +23,13 @@ import numpy as np
 
 from .norms import (
     L1,
-    Subspace,
     VectorNorm,
     as_matrix,
+    max_column_distance,
     mean_zero_subspace,
     partial_norm,
 )
-from .products import (
-    ConvergenceTrace,
-    MatrixSequence,
-    ProductSchedule,
-    stream_general_product,
-)
+from .products import MatrixSequence, ProductSchedule, stream_general_product
 from .series import (
     ConditionVerdict,
     TailModel,
@@ -114,11 +109,6 @@ def random_stochastic(n: int, rng=None, alpha: float = 1.0) -> np.ndarray:
     return rng.dirichlet(np.full(n, alpha), size=n).T
 
 
-def ergodicity_subspace(n: int) -> Subspace:
-    """The invariant mean-zero hyperplane (dimension n - 1)."""
-    return mean_zero_subspace(n)
-
-
 def ergodicity_coefficient_l1(A, tol: float = STOCHASTIC_TOL,
                               validate: bool = True) -> float:
     """Closed-form coefficient: half the largest column-pair distance.
@@ -129,15 +119,9 @@ def ergodicity_coefficient_l1(A, tol: float = STOCHASTIC_TOL,
     support.
     """
     A = validate_stochastic(A, tol) if validate else as_matrix(A)
-    n = A.shape[0]
-    if n <= 1:
+    if A.shape[0] <= 1:
         return 0.0
-    best = 0.0
-    for j in range(n - 1):
-        d = np.abs(A[:, j + 1:] - A[:, j:j + 1]).sum(axis=0).max()
-        if d > best:
-            best = float(d)
-    return 0.5 * best
+    return 0.5 * max_column_distance(A)[0]
 
 
 def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
@@ -151,7 +135,7 @@ def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
     for the closed form).
     """
     A = validate_stochastic(A, tol)
-    H = ergodicity_subspace(A.shape[0])
+    H = mean_zero_subspace(A.shape[0])
     res = partial_norm(A, H, norm, samples=samples, seed=seed, route=route)
     return res.value
 
@@ -204,21 +188,17 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     Each step's coefficient of ergodicity equals the absolute-sum contraction
     of the product on the mean-zero hyperplane, so crossing the threshold
     means every difference of probability vectors has shrunk below it under
-    this schedule's products.  Factors are validated stochastic as they are
-    first used.
+    this schedule's products.  Each factor is validated stochastic as it
+    enters its step.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     runs = []
     for sched in schedules:
-        validated: set[int] = set()
         rs, coeffs = [], []
         crossed = None
         for step in stream_general_product(seq, sched, max_r):
-            for idx in step.order:
-                if idx not in validated:
-                    validate_stochastic(seq.factor(idx), tol)
-                    validated.add(idx)
+            validate_stochastic(step.factor, tol)
             w = ergodicity_coefficient_l1(step.matrix, validate=False)
             rs.append(step.r)
             coeffs.append(w)

@@ -15,10 +15,11 @@ from genprod.contraction import (
     check_paracontracting,
     equiv_theorem_audit,
     lp_gamma,
-    make_additive_norm,
     random_semisimple_nonexpansive,
 )
 from genprod.norms import L1, L2, operator_norm, partial_norm
+from genprod.norms import additive_norm as make_additive_norm
+from genprod.norms import mean_zero_subspace as ergodicity_subspace
 from genprod.products import (
     MatrixSequence,
     Ordering,
@@ -37,7 +38,6 @@ from genprod.spectral import (
 from genprod.stochastic import (
     accumulation_corollary_check,
     ergodicity_coefficient_l1,
-    ergodicity_subspace,
     random_stochastic,
     weak_ergodicity_experiment,
     wkerg_condition_check,

@@ -192,6 +192,31 @@ def test_missing_required_key(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+def test_short_list_sequence_exits_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {
+        "sequence": {"kind": "list", "matrices": [RUNNING] * 3},
+        "schedules": [{"p": 0}],
+        "max_r": 5,
+    })
+    assert main(["product", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "SequenceExhaustedError"
+    assert "only 3 factors, index 4 requested" in err["message"]
+
+
+def test_subspace_missing_dimension_names_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, "m.json", {
+        "matrix": RUNNING,
+        "subspace": {"kind": "mean_zero"},
+    })
+    assert main(["norm", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert "'n'" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # determinism and replay
 # ---------------------------------------------------------------------------

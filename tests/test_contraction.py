@@ -10,7 +10,6 @@ from genprod.contraction import (
     equiv_theorem_audit,
     is_nonexpansive,
     lp_gamma,
-    make_additive_norm,
     probe_strict_monotonicity,
     random_semisimple_nonexpansive,
 )
@@ -20,6 +19,7 @@ from genprod.norms import (
     L2,
     LINF,
     Subspace,
+    additive_norm as make_additive_norm,
     mean_zero_subspace,
     partial_norm,
 )

@@ -16,6 +16,7 @@ from genprod.norms import (
     complementary_pair,
     fixed_point_space,
     is_mean_zero_subspace,
+    max_column_distance,
     mean_zero_subspace,
     numerical_rank,
     operator_norm,
@@ -24,6 +25,7 @@ from genprod.norms import (
     restrict,
     vector_norm,
 )
+from genprod.stochastic import ergodicity_coefficient_l1, random_stochastic
 
 from conftest import block_triangular_similarity, random_orthogonal
 
@@ -325,6 +327,24 @@ def test_partial_norm_closed_form_vs_sampler_small_matrices():
         assert closed.method == "closed_form"
         assert sampled.method == "optimized"
         assert sampled.value == pytest.approx(closed.value, abs=1e-6)
+
+
+def test_max_column_distance_first_pair_in_order():
+    assert max_column_distance(np.eye(3)) == (2.0, (0, 1))
+    # pairs (0, 2) and (1, 2) both reach 2; (0, 1) reaches 1
+    A = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    assert max_column_distance(A) == (2.0, (0, 2))
+
+
+def test_mean_zero_l1_route_equals_coefficient_exactly():
+    rng = np.random.default_rng(12)
+    for n in range(3, 13):
+        H = mean_zero_subspace(n)
+        for _ in range(3):
+            A = random_stochastic(n, rng)
+            res = partial_norm(A, H, L1)
+            assert res.strategy == "mean_zero_extreme_pairs"
+            assert res.value == ergodicity_coefficient_l1(A)
 
 
 def test_partial_norm_l2_route_matches_restricted_svd():

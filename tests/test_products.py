@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from genprod.products import (
     stream_general_product,
 )
 from genprod.series import TailModel
+from genprod.stochastic import weak_ergodicity_experiment
 
 from conftest import block_triangular_similarity
 
@@ -148,6 +151,72 @@ def test_commuting_diagonal_factors_are_order_independent():
                                    atol=1e-14)
         np.testing.assert_allclose(results["left"][r], results["random"][r],
                                    atol=1e-14)
+
+
+def _schedule(ordering, permutation, p=2, max_r=8):
+    """A schedule for every ordering kind x permutation kind pair."""
+    perms = {"identity": Permutation(),
+             "prefix": Permutation("prefix", prefix=(6, 1, 9)),
+             "block_shuffle": Permutation("block_shuffle", block=3, seed=2)}
+    if ordering == "explicit":
+        rng = np.random.default_rng(7)
+        order = Ordering("explicit", orders=tuple(
+            tuple(p + 1 + int(i) for i in rng.permutation(r))
+            for r in range(1, max_r + 1)))
+    else:
+        order = Ordering(ordering, seed=3)
+    return ProductSchedule(p=p, permutation=perms[permutation], ordering=order)
+
+
+every_schedule = pytest.mark.parametrize("ordering,permutation", list(
+    itertools.product(("left", "right", "random", "explicit"),
+                      ("identity", "prefix", "block_shuffle"))))
+
+
+@every_schedule
+def test_step_factor_is_the_entering_factor(ordering, permutation):
+    seq, _ = _stamp_matrices(range(1, 20))
+    sched = _schedule(ordering, permutation)
+    for step in stream_general_product(seq, sched, 8):
+        idx = sched.permutation.index_at(sched.p + step.r)
+        np.testing.assert_array_equal(step.factor, seq.factor(idx))
+        if ordering in ("left", "right"):
+            assert isinstance(step.positions, range)
+
+
+@every_schedule
+def test_monitors_evaluate_each_factor_once(ordering, permutation):
+    calls = Counter()
+
+    def rule(i):
+        calls[i] += 1
+        a = 0.1 + 0.05 * (i % 3)
+        return np.array([[1.0 - a, 0.2], [a, 0.8]])
+
+    seq = MatrixSequence(n=2, rule=rule, name="counting")
+    sched = _schedule(ordering, permutation)
+    expected = Counter(sched.permutation.index_at(sched.p + r)
+                       for r in range(1, 9))
+    monitor_convergence(seq, sched, L1, None, 8)
+    assert calls == expected
+    calls.clear()
+    weak_ergodicity_experiment(seq, [sched], 1e-12, 8)
+    assert calls == expected
+
+
+def test_malformed_explicit_order_raises_before_fetching_its_factor():
+    fetched = []
+
+    def rule(i):
+        fetched.append(i)
+        return np.eye(2)
+
+    seq = MatrixSequence(n=2, rule=rule)
+    sched = ProductSchedule(ordering=Ordering("explicit",
+                                              orders=((1,), (2, 2))))
+    with pytest.raises(ValueError):
+        list(stream_general_product(seq, sched, 2))
+    assert fetched == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_bounds_randomized_suite():
 # ---------------------------------------------------------------------------
 
 def test_high_modulus_stochastic_running_example():
-    from genprod.stochastic import ergodicity_subspace
+    from genprod.norms import mean_zero_subspace as ergodicity_subspace
     H = ergodicity_subspace(2)
     rep = high_modulus_bound(RUNNING, H, L1, 1.0)
     assert rep.decided and rep.holds
@@ -133,7 +133,7 @@ def test_high_modulus_stochastic_running_example():
 
 
 def test_high_modulus_undecided_without_margin():
-    from genprod.stochastic import ergodicity_subspace
+    from genprod.norms import mean_zero_subspace as ergodicity_subspace
     H = ergodicity_subspace(2)
     rep = high_modulus_bound(RUNNING, H, L1, 0.7)
     assert not rep.decided

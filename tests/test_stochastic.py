@@ -3,13 +3,13 @@ import pytest
 
 from genprod.contraction import Verdict, check_paracontracting
 from genprod.norms import L1, L2, operator_norm, partial_norm
+from genprod.norms import mean_zero_subspace as ergodicity_subspace
 from genprod.products import MatrixSequence, Ordering, Permutation, ProductSchedule
 from genprod.series import ConditionVerdict, TailModel
 from genprod.stochastic import (
     StochasticityError,
     accumulation_corollary_check,
     ergodicity_coefficient_l1,
-    ergodicity_subspace,
     general_coefficient,
     is_stochastic,
     overlap_probe,
@@ -159,6 +159,23 @@ def test_experiment_validates_factors():
     seq = MatrixSequence.constant(np.array([[0.9, 0.3], [0.1, 0.8]]))
     with pytest.raises(StochasticityError):
         weak_ergodicity_experiment(seq, [ProductSchedule()], 1e-8, 5)
+
+
+def test_experiment_rejects_factor_entering_under_random_ordering():
+    fetched = []
+
+    def rule(i):
+        fetched.append(i)
+        if i == 4:
+            return np.array([[0.9, 0.2], [0.1, 0.7]])
+        return RUNNING
+
+    seq = MatrixSequence(n=2, rule=rule)
+    sched = ProductSchedule(ordering=Ordering("random", seed=2))
+    with pytest.raises(StochasticityError) as exc:
+        weak_ergodicity_experiment(seq, [sched], 1e-12, 8)
+    assert exc.value.column == 1 and "column 1" in str(exc.value)
+    assert fetched == [1, 2, 3, 4]
 
 
 def test_experiment_multiple_schedules_report_separately():
