@@ -36,16 +36,17 @@ EXIT_REPLAY_MISMATCH = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (matio.ConfigError, stochastic.StochasticityError,
-                      ValueError, KeyError, TypeError)
-_NUMERICAL_ERRORS = (InvarianceError, RankAmbiguityError,
-                     spectral.MultiplicityAmbiguityError,
-                     spectral.HighModulusViolation,
-                     np.linalg.LinAlgError, FloatingPointError, OverflowError)
-
 
 class NumericalFailure(RuntimeError):
     """Raised by runners for in-band numerical trouble (e.g. trace overflow)."""
+
+
+_VALIDATION_ERRORS = (matio.ConfigError, stochastic.StochasticityError,
+                      ValueError, KeyError, TypeError)
+_NUMERICAL_ERRORS = (InvarianceError, RankAmbiguityError, NumericalFailure,
+                     spectral.MultiplicityAmbiguityError,
+                     spectral.HighModulusViolation,
+                     np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
 
 def _canonical_json(obj) -> str:
@@ -77,14 +78,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def trace_csv_text(columns: list[str], rows: list[list]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
     if fmt == "csv":
         for tname, tr in report.get("traces", {}).items():
             _atomic_write(out_dir / f"{name}-{tname}.csv",
-                          trace_csv_text(tr["columns"], tr["rows"]))
+                          matio.csv_text(tr["columns"], tr["rows"]))
     return report_path
 
 
@@ -347,15 +340,11 @@ def _cmd_replay(args) -> int:
                 "supplied config does not match the report's embedded config "
                 "(replaying a run under a different config is not allowed)")
     fresh = run_config(stored["subcommand"], stored["config"], rp.parent)
-    match = (_canonical_json(fresh["results"]) == _canonical_json(stored["results"])
-             and _canonical_json(fresh["traces"]) == _canonical_json(stored["traces"]))
-    print(json.dumps({"replay": "match" if match else "mismatch",
+    diffs = [section for section in ("results", "traces")
+             if _canonical_json(fresh[section]) != _canonical_json(stored[section])]
+    print(json.dumps({"replay": "mismatch" if diffs else "match",
                       "report": str(rp)}, sort_keys=True))
-    if not match:
-        diffs = []
-        for section in ("results", "traces"):
-            if _canonical_json(fresh[section]) != _canonical_json(stored[section]):
-                diffs.append(section)
+    if diffs:
         print(json.dumps({"error": {"type": "ReplayMismatch",
                                     "message": f"sections differ: {diffs}",
                                     "detail": {}}}, sort_keys=True),
@@ -371,9 +360,6 @@ def main(argv=None) -> int:
             return _cmd_replay(args)
         return _cmd_run(args)
     except _NUMERICAL_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_NUMERICAL
-    except NumericalFailure as exc:
         _emit_error(exc)
         return EXIT_NUMERICAL
     except _VALIDATION_ERRORS as exc:

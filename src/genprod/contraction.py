@@ -32,6 +32,7 @@ from .norms import (
     Subspace,
     VectorNorm,
     _operator_norm_detail,
+    _standard_normal,
     additive_norm,
     as_matrix,
     check_invariance,
@@ -94,10 +95,10 @@ def _is_identity(A: np.ndarray, atol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(A - np.eye(n)) <= atol))
 
 
-def _probe_matrix(A: np.ndarray, budget: int, rng,
-                  extra: list[np.ndarray] | None = None) -> np.ndarray:
-    """Falsification probes: coordinate vectors, eigenvector directions,
-    caller extras, then random fill up to the budget."""
+def _probe_matrix(A: np.ndarray, norm: VectorNorm, budget: int,
+                  seed: int) -> np.ndarray:
+    """Falsification probes: coordinate vectors, eigenvector directions, the
+    part bases of an additive norm, then seeded random fill up to the budget."""
     n = A.shape[0]
     cplx = np.iscomplexobj(A)
     cols = [np.eye(n, dtype=complex if cplx else float)]
@@ -108,14 +109,12 @@ def _probe_matrix(A: np.ndarray, budget: int, rng,
             cols.append(vecs.imag)
     except np.linalg.LinAlgError:
         pass
-    if extra:
-        cols.extend(np.atleast_2d(e.T).T for e in extra)
+    if isinstance(norm, AdditiveNorm):
+        cols.extend(part.basis for part in (norm.H, norm.K) if part.dim)
     fill = max(budget - sum(c.shape[1] for c in cols), 0)
     if fill:
-        R = rng.standard_normal((n, fill))
-        if cplx:
-            R = R + 1j * rng.standard_normal((n, fill))
-        cols.append(R)
+        cols.append(_standard_normal(np.random.default_rng(seed), (n, fill),
+                                     cplx))
     X = np.hstack([c.astype(complex if cplx else float) for c in cols])
     keep = np.linalg.norm(X, axis=0) > 1e-12
     return X[:, keep]
@@ -241,11 +240,7 @@ def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
     euclidean route, or the vacuous case A = I.
     """
     A = as_matrix(A)
-    rng = np.random.default_rng(seed)
-    extra = []
-    if isinstance(norm, AdditiveNorm):
-        extra = [norm.H.basis, norm.K.basis]
-    X = _probe_matrix(A, budget, rng, extra=[e for e in extra if e.size])
+    X = _probe_matrix(A, norm, budget, seed)
     used = X.shape[1]
     idx = _find_strict_drop_violation(A, norm, X)
     if idx is not None:
@@ -282,11 +277,7 @@ def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
     A = as_matrix(A)
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    rng = np.random.default_rng(seed)
-    extra = []
-    if isinstance(norm, AdditiveNorm):
-        extra = [norm.H.basis, norm.K.basis]
-    X = _probe_matrix(A, budget, rng, extra=[e for e in extra if e.size])
+    X = _probe_matrix(A, norm, budget, seed)
     used = X.shape[1]
     AX = A @ X
     nx = norm.batch(X)
@@ -498,9 +489,7 @@ def _proof_chain_stats(A, nu: AdditiveNorm, k: float, samples: int,
     rng = np.random.default_rng(seed)
     n = A.shape[0]
     cplx = np.iscomplexobj(A) or np.iscomplexobj(nu.H.basis)
-    X = rng.standard_normal((n, samples))
-    if cplx:
-        X = X + 1j * rng.standard_normal((n, samples))
+    X = _standard_normal(rng, (n, samples), cplx)
     X = X / np.maximum(nu.batch(X), 1e-300)
     AX = A @ X
     Y, _ = nu.split_batch(X)
@@ -538,10 +527,7 @@ def probe_strict_monotonicity(norm: VectorNorm, H: Subspace, K: Subspace, *,
     cplx = np.iscomplexobj(H.basis) or np.iscomplexobj(K.basis)
 
     def draw(S: Subspace):
-        c = rng.standard_normal(S.dim)
-        if cplx:
-            c = c + 1j * rng.standard_normal(S.dim)
-        return S.basis @ c
+        return S.basis @ _standard_normal(rng, S.dim, cplx)
 
     for i in range(samples):
         y, yp, z = draw(H), draw(H), draw(K)
@@ -575,14 +561,9 @@ def random_semisimple_nonexpansive(n: int, rng, *, moving_dim: int | None = None
         raise ValueError("moving_dim must be between 1 and n - 1")
     if k is None:
         k = float(rng.uniform(0.05, 0.95))
-    G = rng.standard_normal((n, n))
-    if complex_field:
-        G = G + 1j * rng.standard_normal((n, n))
-    Q, _ = np.linalg.qr(G)
+    Q, _ = np.linalg.qr(_standard_normal(rng, (n, n), complex_field))
     Bh, Bk = Q[:, :d], Q[:, d:]
-    C = rng.standard_normal((d, d))
-    if complex_field:
-        C = C + 1j * rng.standard_normal((d, d))
+    C = _standard_normal(rng, (d, d), complex_field)
     top = np.linalg.svd(C, compute_uv=False)[0]
     C = C * (k / top)
     A = Bh @ C @ Bh.conj().T + Bk @ Bk.conj().T

@@ -85,16 +85,21 @@ def load_matrix_json(path) -> np.ndarray:
     return matrix_from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def csv_text(columns: list[str], rows) -> str:
+    """A header line and one line per row; floats in round-trip repr form."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def matrix_to_csv_text(A) -> str:
     A = np.asarray(A)
     if np.iscomplexobj(A):
         raise ValueError("CSV matrix files are real-only; use JSON for complex")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", A.shape[0]])
-    for row in A:
-        w.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    return csv_text(["n", str(A.shape[0])],
+                    [[float(v) for v in row] for row in A])
 
 
 def matrix_from_csv_text(text: str) -> np.ndarray:
@@ -382,13 +387,9 @@ def schedule_to_config(s: ProductSchedule) -> dict:
 
 def diagnostics_to_csv_text(d: SeriesDiagnostics) -> str:
     """Running sums/products of a value list as plot-ready CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["i", "value", "plus_sum", "minus_sum",
-                "plus_product", "minus_product"])
-    for i in range(d.values.shape[0]):
-        w.writerow([i + 1, repr(float(d.values[i])),
-                    repr(float(d.plus_sums[i])), repr(float(d.minus_sums[i])),
-                    repr(float(d.plus_products[i])),
-                    repr(float(d.minus_products[i]))])
-    return buf.getvalue()
+    cols = (d.values, d.plus_sums, d.minus_sums, d.plus_products,
+            d.minus_products)
+    return csv_text(["i", "value", "plus_sum", "minus_sum", "plus_product",
+                     "minus_product"],
+                    [[i, *row] for i, row in
+                     enumerate(zip(*(c.tolist() for c in cols)), start=1)])

@@ -67,6 +67,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _standard_normal(rng, shape, cplx: bool) -> np.ndarray:
+    """Standard normal draws, plus an independent imaginary part if cplx."""
+    X = rng.standard_normal(shape)
+    if cplx:
+        X = X + 1j * rng.standard_normal(shape)
+    return X
+
+
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x)
     if not np.issubdtype(v.dtype, np.inexact):
@@ -115,14 +123,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.basis)
-
     @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(np.zeros((n, 0)))
@@ -164,9 +164,6 @@ class Subspace:
     def coords(self, x) -> np.ndarray:
         """Coordinates of x in the orthonormal basis (x assumed in the subspace)."""
         return self.basis.conj().T @ as_vector(x, self.ambient_dim)
-
-    def lift(self, c) -> np.ndarray:
-        return self.basis @ np.asarray(c)
 
     def contains(self, x, tol: float | None = None) -> bool:
         x = as_vector(x, self.ambient_dim)
@@ -225,13 +222,12 @@ def is_mean_zero_subspace(H: Subspace, tol: float = 1e-9) -> bool:
 # Rank decisions
 # ---------------------------------------------------------------------------
 
-def numerical_rank(singular_values, floor: float = RANK_FLOOR,
-                   ambiguity_decades: float = 2.0) -> int:
+def numerical_rank(singular_values, floor: float = RANK_FLOOR) -> int:
     """Rank from descending singular values: values below floor*s0 are zero.
 
     Raises RankAmbiguityError when the gap between the last kept and the first
-    dropped value spans fewer than ``ambiguity_decades`` orders of magnitude,
-    i.e. the data does not clearly separate signal from noise at this floor.
+    dropped value spans fewer than two orders of magnitude, i.e. the data
+    does not clearly separate signal from noise at this floor.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] <= 0.0:
@@ -240,7 +236,7 @@ def numerical_rank(singular_values, floor: float = RANK_FLOOR,
     rank = int(np.sum(rel > floor))
     if 0 < rank < s.size and rel[rank] > 0.0:
         gap = rel[rank - 1] / rel[rank]
-        if gap < 10.0 ** ambiguity_decades:
+        if gap < 100.0:
             raise RankAmbiguityError(
                 f"singular values {s[rank - 1]:.3e} and {s[rank]:.3e} straddle "
                 f"the rank cutoff with gap {gap:.2e}", gap=gap)
@@ -419,13 +415,12 @@ class AdditiveNorm(VectorNorm):
         return self.base.batch(Y) + self.base.batch(Z)
 
 
-def additive_norm(base: VectorNorm, H: Subspace, K: Subspace,
-                  cond_limit: float = 1e8) -> AdditiveNorm:
+def additive_norm(base: VectorNorm, H: Subspace, K: Subspace) -> AdditiveNorm:
     """Build the split-and-add norm over a direct sum H + K.
 
     Raises DecompositionError unless dim H + dim K equals the ambient
     dimension and the stacked basis is invertible with condition number
-    below ``cond_limit``.
+    at most 1e8.
     """
     n = H.ambient_dim
     if K.ambient_dim != n:
@@ -437,10 +432,10 @@ def additive_norm(base: VectorNorm, H: Subspace, K: Subspace,
     if n == 0:
         raise DecompositionError("empty ambient space")
     sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > cond_limit:
+    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e8:
         raise DecompositionError(
             f"H and K overlap within tolerance (condition number "
-            f"{sv[0] / max(sv[-1], 1e-300):.2e} exceeds {cond_limit:.1e})")
+            f"{sv[0] / max(sv[-1], 1e-300):.2e} exceeds 1.0e+08)")
     solve = np.linalg.inv(T)
     solve.setflags(write=False)
     return AdditiveNorm(base=base, H=H, K=K, _solve=solve)
@@ -551,7 +546,11 @@ class InvarianceResult(NamedTuple):
 
 
 def check_invariance(A, H: Subspace, tol: float = INVARIANCE_TOL) -> InvarianceResult:
-    """Does A map H into H?  Residual is ||(I - P_H) A B_H|| (spectral)."""
+    """Does A map H into H?  Residual is ||(I - P_H) A B_H|| (spectral).
+
+    The residual is compared with ``tol * max(1, ||A||_F)``, so the decision
+    does not depend on the scale of A.
+    """
     A = as_matrix(A)
     if A.shape[0] != H.ambient_dim:
         raise ValueError("matrix and subspace dimensions differ")
@@ -560,7 +559,9 @@ def check_invariance(A, H: Subspace, tol: float = INVARIANCE_TOL) -> InvarianceR
     AB = A @ H.basis
     leak = AB - H.basis @ (H.basis.conj().T @ AB)
     residual = float(np.linalg.norm(leak, 2))
-    return InvarianceResult(residual <= tol, residual)
+    m = float(np.abs(A).max())  # pre-scaled Frobenius norm: squares cannot overflow
+    scale = max(1.0, m * float(np.linalg.norm(A / m)) if m else 0.0)
+    return InvarianceResult(residual <= tol * scale, residual)
 
 
 def restrict(A, H: Subspace, tol: float = INVARIANCE_TOL) -> np.ndarray:
@@ -623,9 +624,7 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
     n, d = H.basis.shape
     cplx = np.iscomplexobj(A) or np.iscomplexobj(H.basis)
     blocks = []
-    C = rng.standard_normal((d, samples))
-    if cplx:
-        C = C + 1j * rng.standard_normal((d, samples))
+    C = _standard_normal(rng, (d, samples), cplx)
     blocks.append(C)
     blocks.append(np.eye(d, dtype=C.dtype))
     Bh = H.basis.conj().T  # projector coordinates: coords(P_H v) = Bh @ v
@@ -650,8 +649,8 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
 
 
 def _pattern_refine(f: Callable[[np.ndarray], float], c0: np.ndarray,
-                    cplx: bool, min_step: float = 1e-7) -> tuple[np.ndarray, float]:
-    """Coordinate-wise pattern search with shrinking steps (scale free)."""
+                    cplx: bool) -> tuple[np.ndarray, float]:
+    """Coordinate-wise pattern search with steps shrinking to 1e-7 (scale free)."""
     c = c0 / np.linalg.norm(c0)
     best = f(c)
     d = c.shape[0]
@@ -659,7 +658,7 @@ def _pattern_refine(f: Callable[[np.ndarray], float], c0: np.ndarray,
     if cplx:
         deltas += [1.0j, -1.0j]
     step = 0.5
-    while step > min_step:
+    while step > 1e-7:
         improved = False
         for i in range(d):
             for delta in deltas:
@@ -681,7 +680,7 @@ def _pattern_refine(f: Callable[[np.ndarray], float], c0: np.ndarray,
 def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                  tol: float = NORM_TOL, invariance_tol: float = INVARIANCE_TOL,
                  route: str = "auto", samples: int = 4096, seed: int = 0,
-                 refine: bool = True, check: bool = True) -> PartialNormResult:
+                 check: bool = True) -> PartialNormResult:
     """Supremum of norm(A x) / norm(x) over nonzero x in the invariant subspace H.
 
     Routes (``route="auto"``):
@@ -726,7 +725,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                     return partial_norm(A, H, norm.base, tol=tol,
                                         invariance_tol=invariance_tol,
                                         route=route, samples=samples, seed=seed,
-                                        refine=refine, check=False)
+                                        check=False)
         if H.dim == 1:
             b = H.basis[:, 0]
             nb = norm(b)
@@ -764,18 +763,17 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     order = np.argsort(ratios)[::-1]
     best_c = C[:, order[0]]
     best = float(ratios[order[0]])
-    if refine:
-        cplx = np.iscomplexobj(C)
+    cplx = np.iscomplexobj(C)
 
-        def f(c):
-            x = H.basis @ c
-            v = norm(x)
-            return float(norm(A @ x) / v) if v > 1e-300 else 0.0
+    def f(c):
+        x = H.basis @ c
+        v = norm(x)
+        return float(norm(A @ x) / v) if v > 1e-300 else 0.0
 
-        for idx in order[:3]:
-            c_ref, val = _pattern_refine(f, C[:, idx], cplx)
-            if val > best:
-                best, best_c = val, c_ref
+    for idx in order[:3]:
+        c_ref, val = _pattern_refine(f, C[:, idx], cplx)
+        if val > best:
+            best, best_c = val, c_ref
     w = H.basis @ best_c
     w = _readonly(w / norm(w))
     return PartialNormResult(best, w, "optimized",
@@ -804,16 +802,10 @@ def check_norm_axioms(norm: VectorNorm, n: int, *, samples: int = 200,
     against mis-built composite norms.
     """
     rng = np.random.default_rng(seed)
-
-    def draw():
-        v = rng.standard_normal(n)
-        if complex_field:
-            v = v + 1j * rng.standard_normal(n)
-        return v
-
     hom, tri = 0.0, 0.0
     for _ in range(samples):
-        x, y = draw(), draw()
+        x = _standard_normal(rng, n, complex_field)
+        y = _standard_normal(rng, n, complex_field)
         c = float(rng.standard_normal())
         nx, ny = norm(x), norm(y)
         scale = max(nx, ny, 1e-30)

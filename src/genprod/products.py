@@ -16,7 +16,7 @@ import numpy as np
 
 from .norms import InvarianceError, Subspace, VectorNorm, as_matrix
 from .norms import operator_norm, restrict
-from .series import TailModel, mu_plus
+from .series import TailModel, partial_sum_diagnostics
 
 UNDERFLOW_CLAMP = 1e-300
 OVERFLOW_LIMIT = 1e300
@@ -38,37 +38,19 @@ class SequenceExhaustedError(IndexError, ValueError):
 class MatrixSequence:
     """A finite or infinite sequence of same-sized square matrices.
 
-    Either ``factors`` (explicit finite list) or ``rule`` (1-based index ->
-    matrix) is set.  Explicit sequences raise SequenceExhaustedError (an
-    IndexError) when a product needs factors past their end.
+    ``rule`` maps a 1-based index to its matrix.  Finite sequences built by
+    :meth:`from_list` raise SequenceExhaustedError (an IndexError) when a
+    product needs factors past their end.
     """
 
     n: int
-    factors: tuple[np.ndarray, ...] | None = None
-    rule: Callable[[int], np.ndarray] | None = None
+    rule: Callable[[int], np.ndarray]
     name: str = ""
-
-    def __post_init__(self):
-        if (self.factors is None) == (self.rule is None):
-            raise ValueError("provide exactly one of factors or rule")
-        if self.factors is not None:
-            mats = tuple(as_matrix(f) for f in self.factors)
-            for f in mats:
-                if f.shape[0] != self.n:
-                    raise ValueError("all factors must share the sequence dimension")
-                f.setflags(write=False)
-            object.__setattr__(self, "factors", mats)
 
     def factor(self, i: int) -> np.ndarray:
         """The i-th matrix of the sequence (1-based)."""
         if i < 1:
             raise ValueError("factor indices are 1-based")
-        if self.factors is not None:
-            if i > len(self.factors):
-                raise SequenceExhaustedError(
-                    f"sequence {self.name or '<explicit>'} has only "
-                    f"{len(self.factors)} factors, index {i} requested")
-            return self.factors[i - 1]
         A = as_matrix(self.rule(i), name=f"factor {i}")
         if A.shape[0] != self.n:
             raise ValueError(f"factor {i} has dimension {A.shape[0]}, expected {self.n}")
@@ -85,7 +67,20 @@ class MatrixSequence:
         mats = tuple(as_matrix(m) for m in mats)
         if not mats:
             raise ValueError("empty sequence")
-        return cls(n=mats[0].shape[0], factors=mats, name=name)
+        n = mats[0].shape[0]
+        for m in mats:
+            if m.shape[0] != n:
+                raise ValueError("all factors must share the sequence dimension")
+            m.setflags(write=False)
+
+        def rule(i: int) -> np.ndarray:
+            if i > len(mats):
+                raise SequenceExhaustedError(
+                    f"sequence {name or '<explicit>'} has only {len(mats)} "
+                    f"factors, index {i} requested")
+            return mats[i - 1]
+
+        return cls(n=n, rule=rule, name=name)
 
     @classmethod
     def periodic(cls, mats: Sequence, name: str = "periodic") -> "MatrixSequence":
@@ -148,16 +143,14 @@ class Permutation:
         if self.kind == "prefix":
             if position <= len(self.prefix):
                 return self.prefix[position - 1]
-            # t-th positive integer not used by the prefix
-            t = position - len(self.prefix)
-            used = sorted(self.prefix)
-            x = t
-            while True:
-                c = sum(1 for u in used if u <= x)
-                nx = t + c
-                if nx == x and x not in self.prefix:
-                    return x
-                x = nx
+            # t-th positive integer not used by the prefix: each used index
+            # at or below the candidate pushes it up by one
+            x = position - len(self.prefix)
+            for u in sorted(self.prefix):
+                if u > x:
+                    break
+                x += 1
+            return x
         g, off = divmod(position - 1, self.block)
         rng = np.random.default_rng([self.seed, g])
         perm = rng.permutation(self.block)
@@ -301,11 +294,9 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    vals = np.empty(r_max)
-    for i in range(1, r_max + 1):
-        A = seq.factor(permutation.index_at(p + i))
-        vals[i - 1] = mu_plus(operator_norm(A, norm))
-    return np.cumprod(vals)
+    mus = [operator_norm(seq.factor(permutation.index_at(p + i)), norm)
+           for i in range(1, r_max + 1)]
+    return partial_sum_diagnostics(mus).plus_products
 
 
 @dataclass(frozen=True)
@@ -351,9 +342,10 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
 
     Stops at the first step whose norm falls below ``threshold`` (status
     ``converged_below``), at ``max_r`` (status ``exhausted``, or
-    ``bounded_by`` when no threshold was given), or when the norm overflows.
-    Underflowing values are clamped at 1e-300 and the first clamped step is
-    recorded.
+    ``bounded_by`` when no threshold was given), or when the norm overflows:
+    it exceeds 1e300, is NaN, or the product itself has non-finite entries
+    (recorded as an infinite norm).  Underflowing values are clamped at
+    1e-300 and the first clamped step is recorded.
     """
     if threshold is not None and threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -362,27 +354,24 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     overflow_at = None
     crossing = None
     for step in stream_general_product(seq, sched, max_r):
-        mu = operator_norm(step.matrix, norm)
+        mu = (operator_norm(step.matrix, norm)
+              if np.isfinite(step.matrix).all() else np.inf)
         fmus.append(operator_norm(step.factor, norm))
-        if mu > OVERFLOW_LIMIT:
-            overflow_at = step.r
-            rs.append(step.r)
-            mus.append(mu)
-            break
         if mu < UNDERFLOW_CLAMP:
             mu = UNDERFLOW_CLAMP
             if clamped_from is None:
                 clamped_from = step.r
         rs.append(step.r)
         mus.append(mu)
+        if not mu <= OVERFLOW_LIMIT:
+            overflow_at = step.r
+            break
         if threshold is not None and mu < threshold:
             crossing = step.r
             break
-    fmus_arr = np.asarray(fmus)
-    plus = np.cumprod(np.maximum(fmus_arr, 1.0))
-    minus = np.cumprod(np.minimum(fmus_arr, 1.0))
-    bound_M = float(plus[-1]) if plus.size else 1.0
-    envelope = bound_M * minus
+    diag = partial_sum_diagnostics(fmus)
+    bound_M = float(diag.plus_products[-1])
+    envelope = bound_M * diag.minus_products
     if overflow_at is not None:
         status = TraceStatus("exhausted", r=overflow_at, bound=bound_M)
     elif crossing is not None:
@@ -394,7 +383,7 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
                              bound=bound_M)
     return ConvergenceTrace(
         rs=np.asarray(rs, dtype=int), mus=np.asarray(mus),
-        envelope=envelope, factor_mus=fmus_arr, bound_M=bound_M,
+        envelope=envelope, factor_mus=diag.values, bound_M=bound_M,
         status=status, schedule=sched, clamped_from=clamped_from,
         overflow_at=overflow_at)
 

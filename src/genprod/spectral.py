@@ -156,14 +156,11 @@ def check_multiplicity_bounds(A, H: Subspace, lam: complex,
     A = as_matrix(A)
     n = A.shape[0]
     R = restrict(A, H)
-    if cluster_tol is None:
-        sv = np.linalg.svd(A, compute_uv=False)
-        cluster_tol = CLUSTER_REL_TOL * (float(sv[0]) if sv[0] > 0 else 1.0)
     full = multiplicities(A, lam, cluster_tol, rank_tol)
     if H.dim == 0:
         sub = MultiplicityReport(complex(lam), 0, 0, 0.0, 0.0)
     else:
-        sub = multiplicities(R, lam, cluster_tol, rank_tol)
+        sub = multiplicities(R, lam, full.cluster_tol, rank_tol)
     codim = n - H.dim
     return MultiplicityBoundReport(
         eigenvalue=complex(lam), subspace_dim=H.dim, codimension=codim,

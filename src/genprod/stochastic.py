@@ -316,7 +316,8 @@ def accumulation_corollary_check(family: TailModel,
 class OverlapReport:
     """Structure probe relating row overlap to coefficient strictness.
 
-    ``has_multi_positive_row``: some row holds two or more positive entries.
+    ``has_multi_positive_row``: some row holds two or more positive entries
+    (entries above 1e-12 count as positive).
     ``scrambling``: every pair of columns shares a row where both are
     positive (this is what forces the coefficient below 1).  The probe
     reports; it asserts nothing, and the two-block counterexample shows a
@@ -329,10 +330,9 @@ class OverlapReport:
     contracts: bool
 
 
-def overlap_probe(A, tol: float = STOCHASTIC_TOL,
-                  positive_tol: float = 1e-12) -> OverlapReport:
+def overlap_probe(A, tol: float = STOCHASTIC_TOL) -> OverlapReport:
     A = validate_stochastic(A, tol)
-    pos = A > positive_tol
+    pos = A > 1e-12
     multi = bool((pos.sum(axis=1) >= 2).any())
     n = A.shape[0]
     scram = True

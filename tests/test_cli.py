@@ -131,6 +131,19 @@ def test_product_overflow_exits_numerical(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_product_non_finite_exits_numerical(tmp_path, capsys, norm):
+    cfg = write_config(tmp_path, "p.json", {
+        "sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+        "schedules": [{"p": 0}], "norm": {"kind": norm}, "max_r": 5,
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["product", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["type"] == "NumericalFailure"
+
+
 def test_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, "p.json", {
         "sequence": {"kind": "scaled", "matrix": [[1.0, 0.0], [0.0, 1.0]],

@@ -148,3 +148,15 @@ def test_diagnostics_csv():
     assert lines[0] == "i,value,plus_sum,minus_sum,plus_product,minus_product"
     assert lines[1].startswith("1,0.5,0.0,0.5,")
     assert len(lines) == 3
+
+
+def test_csv_texts_exact_bytes():
+    A = np.array([[0.1 + 0.2, -1e-300], [3, 1e250]])
+    assert matio.matrix_to_csv_text(A) == (
+        "n,2\n0.30000000000000004,-1e-300\n3.0,1e+250\n")
+    from genprod.series import partial_sum_diagnostics
+    d = partial_sum_diagnostics([0.5, 2.0])
+    assert matio.diagnostics_to_csv_text(d) == (
+        "i,value,plus_sum,minus_sum,plus_product,minus_product\n"
+        "1,0.5,0.0,0.5,1.0,0.5\n"
+        "2,2.0,1.0,0.5,2.0,0.5\n")

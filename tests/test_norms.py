@@ -214,6 +214,23 @@ def test_restrict_raises_on_invariance_violation():
         restrict(rot, Subspace.span([1, 0]))
 
 
+@pytest.mark.parametrize("n,seed", [(4, 0), (6, 1), (10, 2)])
+def test_partial_norm_scales_with_large_matrices(n, seed):
+    A = random_stochastic(n, seed)
+    H = mean_zero_subspace(n)
+    for c in (1e8, 1e200):
+        assert partial_norm(c * A, H, L1).value == pytest.approx(
+            c * partial_norm(A, H, L1).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e200])
+def test_scaled_non_invariant_subspace_still_rejected(c):
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert not check_invariance(c * rot, Subspace.span([1, 0])).ok
+    with pytest.raises(InvarianceError):
+        partial_norm(c * rot, Subspace.span([1, 0]), L1)
+
+
 def test_restrict_respects_products():
     rng = np.random.default_rng(7)
     A, H, _ = block_triangular_similarity(

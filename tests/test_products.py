@@ -60,6 +60,17 @@ def test_prefix_permutation_rejects_duplicates():
         Permutation("prefix", prefix=(1, 1))
 
 
+def test_prefix_permutation_matches_brute_force_complement():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        m = int(rng.integers(0, 8))
+        prefix = tuple(int(v) for v in rng.choice(np.arange(1, 30), m, replace=False))
+        p = Permutation("prefix", prefix=prefix)
+        rest = [i for i in range(1, 80) if i not in prefix]
+        expected = list(prefix) + rest[:40]
+        assert [p.index_at(q) for q in range(1, m + 41)] == expected
+
+
 def test_block_shuffle_is_bounded_displacement_bijection():
     for seed in range(5):
         p = Permutation("block_shuffle", block=6, seed=seed)
@@ -135,6 +146,11 @@ def test_explicit_list_exhaustion():
     sched = ProductSchedule()
     with pytest.raises(IndexError):
         list(stream_general_product(seq, sched, 4))
+
+
+def test_from_list_rejects_mixed_dimensions_when_built():
+    with pytest.raises(ValueError, match="dimension"):
+        MatrixSequence.from_list([np.eye(2), np.eye(3)])
 
 
 def test_commuting_diagonal_factors_are_order_independent():
@@ -297,6 +313,17 @@ def test_envelope_holds_for_noncommuting_factors():
 def test_trace_overflow_truncates():
     seq = MatrixSequence.constant(10.0 * np.eye(2))
     trace = monitor_convergence(seq, ProductSchedule(), L1, 1e-8, 400)
+    assert trace.overflow_at is not None
+    assert trace.rs[-1] == trace.overflow_at
+
+
+@pytest.mark.parametrize("norm", [L1, L2])
+def test_non_finite_product_or_norm_ends_trace_as_overflow(norm):
+    # (1e160)^2 overflows the product to inf; under l2 the Gram route
+    # already turns the first step's norm into NaN
+    seq = MatrixSequence.constant(1e160 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = monitor_convergence(seq, ProductSchedule(), norm, None, 5)
     assert trace.overflow_at is not None
     assert trace.rs[-1] == trace.overflow_at
 
