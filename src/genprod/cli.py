@@ -51,7 +51,7 @@ _NUMERICAL_ERRORS = (InvarianceError, RankAmbiguityError, NumericalFailure,
 
 def _canonical_json(obj) -> str:
     return json.dumps(matio.to_jsonable(obj), sort_keys=True,
-                      separators=(",", ":"))
+                      separators=(",", ":"), allow_nan=False)
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -287,7 +287,8 @@ def _out_dir(arg) -> Path:
 def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
     report_path = out_dir / f"{name}.json"
     _atomic_write(report_path, json.dumps(matio.to_jsonable(report),
-                                          sort_keys=True, indent=1) + "\n")
+                                          sort_keys=True, indent=1,
+                                          allow_nan=False) + "\n")
     if fmt == "csv":
         for tname, tr in report.get("traces", {}).items():
             _atomic_write(out_dir / f"{name}-{tname}.csv",

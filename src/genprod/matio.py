@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import io
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -48,11 +49,17 @@ def _get(cfg: dict, key: str, where: str):
 # Matrices
 # ---------------------------------------------------------------------------
 
+def _json_float(v) -> float | str:
+    """A float for strict JSON: finite as is, else "inf", "-inf" or "nan"."""
+    v = float(v)
+    return v if math.isfinite(v) else str(v)
+
+
 def matrix_to_jsonable(A) -> list:
     A = np.asarray(A)
     if np.iscomplexobj(A):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in A]
-    return [[float(v) for v in row] for row in A]
+        return [[[_json_float(v.real), _json_float(v.imag)] for v in row] for row in A]
+    return [[_json_float(v) for v in row] for row in A]
 
 
 def matrix_from_jsonable(obj) -> np.ndarray:
@@ -151,23 +158,27 @@ def matrix_from_config(obj, base_dir: Path | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def to_jsonable(obj: Any) -> Any:
-    """Dataclasses, arrays, enums, and numpy scalars to plain JSON values."""
+    """Dataclasses, arrays, enums, and numpy scalars to plain JSON values.
+
+    Non-finite floats become the strings "inf", "-inf" and "nan", so the
+    result serializes as strict JSON.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj
+        return obj if math.isfinite(obj) else _json_float(obj)
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return to_jsonable(obj.item())
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_json_float(obj.real), _json_float(obj.imag)]
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2:
             return matrix_to_jsonable(obj)
         if np.iscomplexobj(obj):
-            return [[float(v.real), float(v.imag)] for v in obj]
-        return [float(v) for v in obj] if obj.dtype.kind == "f" \
+            return [[_json_float(v.real), _json_float(v.imag)] for v in obj]
+        return [_json_float(v) for v in obj] if obj.dtype.kind == "f" \
             else [int(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}

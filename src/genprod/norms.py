@@ -7,8 +7,9 @@ between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -452,22 +453,30 @@ def vector_norm(x, norm: VectorNorm) -> float:
 # Operator and partial norms
 # ---------------------------------------------------------------------------
 
-def _power_iteration_top(M: np.ndarray, seed: int = 0):
+def _top_singular(M: np.ndarray):
     """Largest singular value of M and a maximizing right vector.
 
-    Computed from the symmetric eigendecomposition of the Gram matrix
-    M* M, which is deterministic and accurate to machine precision at our
-    scales.  (A plain power iteration stalls below 1e-8 accuracy when the
-    top two singular values nearly coincide.)  Note for the test suite:
-    this is a different algorithm on a different operator than a full SVD
-    of M, which therefore remains a valid independent oracle.
+    Computed from the symmetric eigendecomposition of the Gram matrix M* M,
+    which is deterministic and accurate to machine precision.  (A plain
+    power iteration stalls below 1e-8 accuracy when the top two singular
+    values nearly coincide.)  M is first scaled by the power of two that
+    brings its largest entry into [1/2, 1), in two halves at the ends of the
+    exponent range, so M* M neither overflows nor underflows.  Note for the
+    test suite: this is a different algorithm on a different operator than
+    a full SVD of M, which therefore remains a valid independent oracle.
     """
     m, d = M.shape
-    if d == 0 or m == 0 or not np.any(M):
+    peak = float(np.abs(M).max()) if m and d else 0.0
+    if peak == 0.0:
         return 0.0, (np.zeros(d, dtype=M.dtype) if d else np.zeros(0))
-    gram = M.conj().T @ M
-    vals, vecs = np.linalg.eigh(gram)
-    top = float(np.sqrt(max(vals[-1], 0.0)))
+    e = math.frexp(peak)[1]
+    parts = (e // 2, e - e // 2) if abs(e) > 1021 else (e,)
+    for part in parts:
+        M = M * math.ldexp(1.0, -part)
+    vals, vecs = np.linalg.eigh(M.conj().T @ M)
+    top = math.sqrt(max(vals[-1], 0.0))
+    for part in parts:
+        top *= math.ldexp(1.0, part)  # exact; inf past the float range
     return top, vecs[:, -1]
 
 
@@ -509,7 +518,7 @@ def _operator_norm_detail(A, norm, *, samples=4096, seed=0):
         w[nz] = np.conj(row[nz]) / np.abs(row[nz])
         return float(sums[i]), w, True
     if isinstance(norm, PNorm) and norm.p == 2.0:
-        val, vec = _power_iteration_top(A, seed=seed)
+        val, vec = _top_singular(A)
         return val, vec, True
     if isinstance(norm, WeightedL1):
         wts = norm.weights
@@ -631,14 +640,10 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
     coord = Bh  # projections of coordinate vectors
     blocks.append(coord)
     if n <= 40:
-        diffs = []
-        for j in range(n):
-            for l in range(j + 1, n):
-                diffs.append(Bh[:, j] - Bh[:, l])
-        if diffs:
-            blocks.append(np.column_stack(diffs))
+        j, l = np.triu_indices(n, 1)  # pairs j < l in lexicographic order
+        blocks.append(Bh[:, j] - Bh[:, l])
     try:
-        _, top = _power_iteration_top(A @ H.basis)
+        _, top = _top_singular(A @ H.basis)
         if top is not None and np.linalg.norm(top) > 0:
             blocks.append(top.reshape(-1, 1))
     except np.linalg.LinAlgError:
@@ -648,31 +653,38 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
     return C[:, keep]
 
 
-def _pattern_refine(f: Callable[[np.ndarray], float], c0: np.ndarray,
-                    cplx: bool) -> tuple[np.ndarray, float]:
-    """Coordinate-wise pattern search with steps shrinking to 1e-7 (scale free)."""
+def _ratios(A, H: Subspace, norm: VectorNorm, C: np.ndarray) -> np.ndarray:
+    """norm(A x) / norm(x) for each column x of H.basis @ C, 0 if norm(x) <= 1e-300."""
+    X = H.basis @ C
+    nx = norm.batch(X)
+    ok = nx > 1e-300
+    ratios = np.zeros(C.shape[1])
+    ratios[ok] = norm.batch(A @ X[:, ok]) / nx[ok]
+    return ratios
+
+
+def _pattern_refine(A, H: Subspace, norm: VectorNorm,
+                    c0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pattern search over unit coordinate vectors, steps shrinking to 1e-7.
+
+    Each sweep scores all moves c +- step e_i (and +- i step e_i for complex
+    c0) with one :func:`_ratios` call and keeps the best; a sweep that gains
+    nothing halves the step.  No move vanishes: |c| = 1 and step <= 1/2.
+    """
     c = c0 / np.linalg.norm(c0)
-    best = f(c)
-    d = c.shape[0]
-    deltas = [1.0, -1.0]
-    if cplx:
-        deltas += [1.0j, -1.0j]
+    best = float(_ratios(A, H, norm, c[:, None])[0])
+    units = np.eye(c.shape[0])
+    units = np.hstack([units, -units, 1j * units, -1j * units]
+                      if np.iscomplexobj(c) else [units, -units])
     step = 0.5
     while step > 1e-7:
-        improved = False
-        for i in range(d):
-            for delta in deltas:
-                cand = c.copy()
-                cand[i] += step * delta
-                nc = np.linalg.norm(cand)
-                if nc == 0.0:
-                    continue
-                cand /= nc
-                val = f(cand)
-                if val > best * (1 + 1e-14) + 1e-300:
-                    c, best = cand, val
-                    improved = True
-        if not improved:
+        cand = c[:, None] + step * units
+        cand /= np.linalg.norm(cand, axis=0)
+        vals = _ratios(A, H, norm, cand)
+        k = int(np.argmax(vals))
+        if vals[k] > best * (1 + 1e-14) + 1e-300:
+            c, best = cand[:, k], float(vals[k])
+        else:
             step *= 0.5
     return c, best
 
@@ -740,7 +752,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
             return PartialNormResult(best / 2.0, _readonly(w), "closed_form",
                                      "mean_zero_extreme_pairs", tol)
         if isinstance(norm, PNorm) and norm.p == 2.0:
-            value, coords = _power_iteration_top(A @ H.basis, seed=seed)
+            value, coords = _top_singular(A @ H.basis)
             witness = None
             if coords is not None and np.linalg.norm(coords) > 0:
                 witness = H.basis @ coords
@@ -754,31 +766,19 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     # Sampling route.
     rng = np.random.default_rng(seed)
     C = _probe_coords(A, H, rng, samples)
-    X = H.basis @ C
-    nx = norm.batch(X)
-    ok = nx > 1e-300
-    ratios = np.zeros(C.shape[1])
-    ratios[ok] = norm.batch(A @ X[:, ok]) / nx[ok]
-    used = int(C.shape[1])
+    ratios = _ratios(A, H, norm, C)
     order = np.argsort(ratios)[::-1]
     best_c = C[:, order[0]]
     best = float(ratios[order[0]])
-    cplx = np.iscomplexobj(C)
-
-    def f(c):
-        x = H.basis @ c
-        v = norm(x)
-        return float(norm(A @ x) / v) if v > 1e-300 else 0.0
-
     for idx in order[:3]:
-        c_ref, val = _pattern_refine(f, C[:, idx], cplx)
+        c_ref, val = _pattern_refine(A, H, norm, C[:, idx])
         if val > best:
             best, best_c = val, c_ref
     w = H.basis @ best_c
     w = _readonly(w / norm(w))
     return PartialNormResult(best, w, "optimized",
                              "multistart_sampling+pattern_refine", tol,
-                             samples=used)
+                             samples=int(C.shape[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genprod
 from genprod.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -142,6 +145,25 @@ def test_product_non_finite_exits_numerical(tmp_path, capsys, norm):
     assert code == EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["type"] == "NumericalFailure"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_overflow_report_is_strict_json_and_replays(tmp_path):
+    cfg = write_config(tmp_path, "p.json", {
+        "sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+        "schedules": [{"p": 0}], "norm": {"kind": "l1"}, "max_r": 5,
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["product", "--config", str(cfg), "--out", str(tmp_path),
+                     "--name", "over"]) == EXIT_NUMERICAL
+    text = (tmp_path / "over.json").read_text()
+    json.loads(text, parse_constant=_reject_constant)
+    assert '"inf"' in text
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["replay", "--report", str(tmp_path / "over.json")]) == EXIT_OK
 
 
 def test_flag_overrides_config(tmp_path):
@@ -317,10 +339,14 @@ def test_replay_requires_complete_report(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "n.json", {"matrix": [[1.0]]})
+    # the child imports the same genprod, installed or not
+    src = str(Path(genprod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "genprod", "norm", "--config", str(cfg),
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["subcommand"] == "norm"
 

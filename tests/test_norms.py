@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from genprod.norms import (
     PartialNormResult,
     RankAmbiguityError,
     Subspace,
+    VectorNorm,
     WeightedL1,
+    _probe_coords,
     additive_norm,
     check_invariance,
     check_norm_axioms,
@@ -110,6 +114,26 @@ def test_operator_norm_l2_matches_svd_oracle(seed):
         A = A + 1j * rng.standard_normal((4, 4))
     top = np.linalg.svd(A, compute_uv=False)[0]
     assert operator_norm(A, L2) == pytest.approx(top, abs=1e-8)
+
+
+def test_operator_norm_l2_exact_at_extreme_scales():
+    # the Gram matrix of the unscaled matrix underflows to 0 and overflows
+    # to inf at these scales
+    assert operator_norm(1e-200 * np.eye(2), L2) == 1e-200
+    assert operator_norm(1e160 * np.eye(2), L2) == 1e160
+    assert operator_norm(1e-160 * np.eye(2), L2) == 1e-160
+
+
+@pytest.mark.parametrize("c", [1e-250, -1e-120, 1e-30, 3.0, -1e30, 1e120, 1e250])
+def test_operator_norm_l2_scales_with_the_matrix(c):
+    rng = np.random.default_rng(14)
+    for cplx in (False, True):
+        A = rng.standard_normal((5, 5))
+        if cplx:
+            A = A + 1j * rng.standard_normal((5, 5))
+        base = operator_norm(A, L2)
+        assert operator_norm(c * A, L2) == pytest.approx(abs(c) * base,
+                                                         rel=1e-13, abs=0)
 
 
 def test_operator_norm_weighted_l1_vs_brute_force():
@@ -409,3 +433,84 @@ def test_partial_norm_complex_matrix():
     H = Subspace(np.eye(3, dtype=complex)[:, 1:])
     res = partial_norm(D, H, L2)
     assert res.value == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_probe_pair_differences_in_lexicographic_order(n):
+    # projected differences e_j - e_l, j < l, follow the coordinate and
+    # projection blocks; the mean-zero hyperplane drops none of them
+    H = mean_zero_subspace(n)
+    A = random_stochastic(n, np.random.default_rng(n))
+    C = _probe_coords(A, H, np.random.default_rng(0), 0)
+    Bh = H.basis.conj().T
+    ref = np.column_stack([Bh[:, j] - Bh[:, l]
+                           for j in range(n) for l in range(j + 1, n)])
+    d = n - 1
+    assert np.array_equal(C[:, d + n:d + n + ref.shape[1]], ref)
+
+
+class _CountingL1(VectorNorm):
+    name = "counting_l1"
+
+    def __init__(self):
+        self.scalar = self.batches = 0
+
+    def __call__(self, x):
+        self.scalar += 1
+        return L1(x)
+
+    def batch(self, X):
+        self.batches += 1
+        return L1.batch(X)
+
+
+def test_sampling_route_scores_in_batches():
+    norm = _CountingL1()
+    A = random_stochastic(6, np.random.default_rng(15))
+    res = partial_norm(A, mean_zero_subspace(6), norm, samples=200, seed=1)
+    assert res.method == "optimized"
+    assert norm.scalar <= 1  # the witness normalization
+    assert norm.batches > 0
+    assert res.value <= ergodicity_coefficient_l1(A) * (1 + 1e-12)
+
+
+def _mean_zero_linf_exact(A):
+    """Largest linf ratio over the vertices of the mean-zero slice of the cube.
+
+    A vertex has n - 1 coordinates at +-1; the last one balances the sum and
+    must lie in [-1, 1].
+    """
+    n = A.shape[0]
+    best = 0.0
+    for i in range(n):
+        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+            x = np.insert(np.array(signs), i, -sum(signs))
+            if abs(x[i]) <= 1.0:
+                best = max(best, LINF(A @ x) / LINF(x))
+    return best
+
+
+def test_sampled_linf_never_exceeds_vertex_enumeration():
+    rng = np.random.default_rng(16)
+    for trial in range(60):
+        n = 4 + trial % 7
+        A = random_stochastic(n, rng)
+        res = partial_norm(A, mean_zero_subspace(n), LINF, samples=256, seed=trial)
+        assert res.value <= _mean_zero_linf_exact(A) * (1 + 1e-10)
+        w = res.witness
+        assert LINF(A @ w) / LINF(w) == pytest.approx(res.value, rel=1e-10)
+
+
+def test_sampled_l2_on_complex_subspace_meets_closed_form():
+    rng = np.random.default_rng(17)
+    Q = random_orthogonal(5, rng, complex_field=True)
+    T = np.zeros((5, 5), dtype=complex)
+    T[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    T[3:, 3:] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    A = Q @ T @ Q.conj().T
+    H = Subspace(Q[:, :3])
+    closed = partial_norm(A, H, L2)
+    sampled = partial_norm(A, H, L2, route="sample", samples=500, seed=2)
+    assert closed.strategy == "gram_spectral" and sampled.method == "optimized"
+    assert sampled.value <= closed.value * (1 + 1e-12)
+    assert sampled.value == pytest.approx(closed.value, abs=1e-6)
