@@ -50,8 +50,9 @@ _NUMERICAL_ERRORS = (InvarianceError, RankAmbiguityError, NumericalFailure,
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(matio.to_jsonable(obj), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    """Compact sorted JSON of an already JSON-ready value."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -107,7 +108,7 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
         H = matio.subspace_from_config(config["subspace"])
         res = partial_norm(A, H, norm, seed=seed,
                            samples=int(config.get("samples", 4096)))
-        results["partial_norm"] = matio.to_jsonable(res)
+        results["partial_norm"] = res
     return results, {}
 
 
@@ -117,21 +118,19 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seed = int(config.get("seed", 0))
     budget = int(config.get("budget", 2048))
     results = {
-        "nonexpansive": matio.to_jsonable(
-            contraction.is_nonexpansive(A, norm, seed=seed, samples=budget)),
-        "paracontracting": matio.to_jsonable(
-            contraction.check_paracontracting(A, norm, budget, seed=seed)),
+        "nonexpansive": contraction.is_nonexpansive(A, norm, seed=seed,
+                                                    samples=budget),
+        "paracontracting": contraction.check_paracontracting(A, norm, budget,
+                                                             seed=seed),
     }
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
-        results["h_contractor"] = matio.to_jsonable(
-            contraction.check_H_contractor(A, H, norm, samples=budget,
-                                           seed=seed))
+        results["h_contractor"] = contraction.check_H_contractor(
+            A, H, norm, samples=budget, seed=seed)
     if config.get("audit", False):
-        rep = contraction.equiv_theorem_audit(
+        results["audit"] = contraction.equiv_theorem_audit(
             A, norm, budget=budget, seed=seed,
             proof_samples=int(config.get("proof_samples", 0)))
-        results["audit"] = matio.to_jsonable(rep)
     return results, {}
 
 
@@ -157,7 +156,7 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
         results["schedules"].append({
             "label": sched.label,
             "schedule": matio.schedule_to_config(sched),
-            "status": matio.to_jsonable(trace.status),
+            "status": trace.status,
             "bound_M": trace.bound_M,
             "crossed_at": trace.crossed_at,
             "overflow_at": trace.overflow_at,
@@ -199,7 +198,7 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
         verdict = stochastic.wkerg_condition_check(
             matio.tail_model_from_config(config["condition_C"]),
             matio.tail_model_from_config(config["condition_D"]))
-        results["conditions"] = matio.to_jsonable(verdict)
+        results["conditions"] = verdict
     return results, traces
 
 
@@ -209,21 +208,18 @@ def run_spectral(config: dict, base_dir: Path) -> tuple[dict, dict]:
     lam = complex(lam_cfg[0], lam_cfg[1]) if isinstance(lam_cfg, list) \
         else complex(float(lam_cfg))
     results: dict = {
-        "multiplicities": matio.to_jsonable(spectral.multiplicities(A, lam)),
+        "multiplicities": spectral.multiplicities(A, lam),
         "eigenvalue_one_semisimple": spectral.eigenvalue_one_semisimple(A),
     }
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
-        results["bounds"] = matio.to_jsonable(
-            spectral.check_multiplicity_bounds(A, H, lam))
+        results["bounds"] = spectral.check_multiplicity_bounds(A, H, lam)
         if config.get("high_modulus", False):
             norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-            results["high_modulus"] = matio.to_jsonable(
-                spectral.high_modulus_bound(A, H, norm, lam,
-                                            seed=int(config.get("seed", 0))))
+            results["high_modulus"] = spectral.high_modulus_bound(
+                A, H, norm, lam, seed=int(config.get("seed", 0)))
     if config.get("stochastic_simple_one", False):
-        results["simple_one"] = matio.to_jsonable(
-            spectral.stochastic_simple_one(A))
+        results["simple_one"] = spectral.stochastic_simple_one(A)
     return results, {}
 
 
@@ -237,7 +233,7 @@ RUNNERS = {
 
 
 def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
-    """Execute one subcommand and assemble the full report document."""
+    """Execute one subcommand and assemble the report, already JSON-ready."""
     if subcommand not in RUNNERS:
         raise matio.ConfigError(f"unknown subcommand {subcommand!r}")
     if not isinstance(config, dict):
@@ -245,8 +241,9 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     resolved = dict(config)
     resolved.setdefault("seed", 0)
     results, traces = RUNNERS[subcommand](resolved, base_dir)
-    return {"schema": SCHEMA, "subcommand": subcommand, "config": resolved,
-            "results": results, "traces": traces}
+    return matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
+                              "config": resolved, "results": results,
+                              "traces": traces})
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +283,7 @@ def _out_dir(arg) -> Path:
 
 def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
     report_path = out_dir / f"{name}.json"
-    _atomic_write(report_path, json.dumps(matio.to_jsonable(report),
-                                          sort_keys=True, indent=1,
+    _atomic_write(report_path, json.dumps(report, sort_keys=True, indent=1,
                                           allow_nan=False) + "\n")
     if fmt == "csv":
         for tname, tr in report.get("traces", {}).items():
@@ -324,7 +320,10 @@ def _cmd_replay(args) -> int:
     rp = Path(args.report)
     if not rp.exists():
         raise matio.ConfigError(f"report file not found: {rp}")
-    stored = json.loads(rp.read_text(encoding="utf-8"))
+    # Reports written before strict JSON may hold NaN or Infinity literals;
+    # they parse to the strings that matio.to_jsonable writes for them.
+    stored = json.loads(rp.read_text(encoding="utf-8"),
+                        parse_constant=lambda c: matio.to_jsonable(float(c)))
     for key in ("schema", "subcommand", "config", "results", "traces"):
         if key not in stored:
             raise matio.ConfigError(f"report is missing {key!r}; cannot replay")
@@ -336,7 +335,8 @@ def _cmd_replay(args) -> int:
     if args.config is not None:
         supplied = json.loads(Path(args.config).read_text(encoding="utf-8"))
         supplied.setdefault("seed", 0)
-        if _canonical_json(supplied) != _canonical_json(stored["config"]):
+        if _canonical_json(matio.to_jsonable(supplied)) != \
+                _canonical_json(stored["config"]):
             raise matio.ConfigError(
                 "supplied config does not match the report's embedded config "
                 "(replaying a run under a different config is not allowed)")

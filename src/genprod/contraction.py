@@ -26,9 +26,11 @@ import numpy as np
 
 from .norms import (
     AdditiveNorm,
+    InvarianceError,
     L2,
     NORM_TOL,
     PNorm,
+    RankAmbiguityError,
     Subspace,
     VectorNorm,
     _operator_norm_detail,
@@ -138,8 +140,8 @@ def _find_strict_drop_violation(A, norm, X):
 # Nonexpansiveness
 # ---------------------------------------------------------------------------
 
-def is_nonexpansive(A, norm: VectorNorm, *, tol: float = NORM_TOL,
-                    samples: int = 4096, seed: int = 0) -> ContractionVerdict:
+def is_nonexpansive(A, norm: VectorNorm, *, samples: int = 4096,
+                    seed: int = 0) -> ContractionVerdict:
     """Is the induced operator norm at most 1?
 
     Norms with exact operator-norm routes give definite verdicts.  When only
@@ -150,7 +152,7 @@ def is_nonexpansive(A, norm: VectorNorm, *, tol: float = NORM_TOL,
     value, witness, exact = _operator_norm_detail(A, norm, samples=samples,
                                                   seed=seed)
     cert = {"operator_norm": value, "exact": exact}
-    if value > 1.0 + tol:
+    if value > 1.0 + NORM_TOL:
         return ContractionVerdict(Verdict.FALSIFIED, "nonexpansive",
                                   witness=witness, certificate=cert)
     if exact:
@@ -165,40 +167,41 @@ def is_nonexpansive(A, norm: VectorNorm, *, tol: float = NORM_TOL,
 # Structural certification routes
 # ---------------------------------------------------------------------------
 
-def _split_certificate(A, norm, *, tol: float, samples: int, seed: int):
+def _split_certificate(A, norm, *, samples: int, seed: int):
     """Certificate via a norm that adds up along fixed/moving parts of A.
 
-    Requires: the norm splits additively over H + K, those parts coincide
-    with the moving and fixed spaces of A, A is certifiably nonexpansive for
-    the norm, and the contraction ratio k on the moving part is exact and
-    below 1.  Returns the certificate dict or None.
+    Reads the split from the additive norm's own parts H + K and checks
+    three facts: A fixes every vector of K (``max|A K - K|`` at most
+    ``MOVED_RTOL * max(1, max|A|)``), H is invariant, and
+    ``k = partial_norm(A, H, base)`` is exact and below ``1 - NORM_TOL``.
+
+    Since H + K is the whole space, these prove the rest.  For x = y + z
+    with y in H and z in K, ``nu(A x) = base(A y) + base(z) <= k base(y) +
+    base(z) <= nu(x)``, so A is nonexpansive.  As k < 1, 1 is not an
+    eigenvalue of A on H, so K is the fixed space of A, H is the range of
+    I - A, and eigenvalue 1 is semisimple.  The displacement bounds
+    ``nu(x - A x) <= (1 + k) base(y)`` and ``nu(x) - nu(A x) >= (1 - k)
+    base(y)`` give the rate gamma = (1 - k) / (1 + k).  A non-invariant H
+    means no certificate.  Returns the certificate dict or None.
     """
     if not isinstance(norm, AdditiveNorm):
         return None
+    K = norm.K.basis
+    if K.shape[1] and (np.abs(A @ K - K).max() >
+                       MOVED_RTOL * max(1.0, float(np.abs(A).max()))):
+        return None
     try:
-        pair = complementary_pair(A)
-    except Exception:
+        kres = partial_norm(A, norm.H, norm.base, samples=samples, seed=seed)
+    except InvarianceError:
         return None
-    if not pair.complementary:
-        return None
-    if not (norm.H.equals(pair.moving, tol=1e-7) and
-            norm.K.equals(pair.fixed, tol=1e-7)):
-        return None
-    nonexp = is_nonexpansive(A, norm, tol=tol, samples=samples, seed=seed)
-    if not nonexp.certified:
-        return None
-    if pair.moving.dim == 0:
-        return {"k": 0.0, "gamma": 1.0, "route": "additive_split",
-                "moving_dim": 0}
-    kres = partial_norm(A, pair.moving, norm.base, samples=samples, seed=seed)
-    if not kres.is_exact or kres.value >= 1.0 - tol:
+    if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
         return None
     k = kres.value
     return {"k": k, "gamma": lp_gamma(k), "route": "additive_split",
-            "moving_dim": pair.moving.dim}
+            "moving_dim": norm.H.dim}
 
 
-def _orthogonal_l2_certificate(A, *, tol: float, seed: int):
+def _orthogonal_l2_certificate(A, *, seed: int):
     """Paracontraction certificate for the euclidean norm.
 
     When the fixed space and the moving space are orthogonal complements,
@@ -209,7 +212,7 @@ def _orthogonal_l2_certificate(A, *, tol: float, seed: int):
     """
     try:
         pair = complementary_pair(A)
-    except Exception:
+    except (RankAmbiguityError, np.linalg.LinAlgError):
         return None
     if not pair.complementary or pair.moving.dim == 0:
         return None
@@ -218,10 +221,10 @@ def _orthogonal_l2_certificate(A, *, tol: float, seed: int):
         if float(np.abs(cross).max()) > 1e-8:
             return None
     val, _, _ = _operator_norm_detail(A, L2, seed=seed)
-    if val > 1.0 + tol:
+    if val > 1.0 + NORM_TOL:
         return None
     kres = partial_norm(A, pair.moving, L2, seed=seed)
-    if not kres.is_exact or kres.value >= 1.0 - tol:
+    if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
         return None
     return {"k": kres.value, "route": "orthogonal_l2",
             "moving_dim": pair.moving.dim}
@@ -232,7 +235,7 @@ def _orthogonal_l2_certificate(A, *, tol: float, seed: int):
 # ---------------------------------------------------------------------------
 
 def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
-                          seed: int = 0, tol: float = NORM_TOL) -> ContractionVerdict:
+                          seed: int = 0) -> ContractionVerdict:
     """Does the norm strictly drop on every vector that A moves?
 
     Sampling (coordinate vectors, eigenvector directions, random) can only
@@ -250,12 +253,12 @@ def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
         return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
                                   budget_used=used,
                                   note="vacuous: the matrix moves no vector")
-    cert = _split_certificate(A, norm, tol=tol, samples=budget, seed=seed)
+    cert = _split_certificate(A, norm, samples=budget, seed=seed)
     if cert is not None:
         return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
                                   certificate=cert, budget_used=used)
     if isinstance(norm, PNorm) and norm.p == 2.0:
-        cert = _orthogonal_l2_certificate(A, tol=tol, seed=seed)
+        cert = _orthogonal_l2_certificate(A, seed=seed)
         if cert is not None:
             return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
                                       certificate=cert, budget_used=used)
@@ -265,8 +268,8 @@ def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
 
 
 def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
-                            budget: int = 2048, *, seed: int = 0,
-                            tol: float = NORM_TOL) -> ContractionVerdict:
+                            budget: int = 2048, *,
+                            seed: int = 0) -> ContractionVerdict:
     """Does norm(A x) <= norm(x) - gamma * norm(A x - x) hold for all x?
 
     Falsified on any sampled violation beyond tolerance; certified when the
@@ -282,7 +285,7 @@ def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
     AX = A @ X
     nx = norm.batch(X)
     slack = norm.batch(AX) - (nx - gamma * norm.batch(AX - X))
-    viol = slack > tol * np.maximum(nx, 1.0)
+    viol = slack > NORM_TOL * np.maximum(nx, 1.0)
     if np.any(viol):
         idx = int(np.argmax(np.where(viol, slack, -np.inf)))
         return ContractionVerdict(
@@ -294,7 +297,7 @@ def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
             Verdict.CERTIFIED, "l_paracontracting",
             certificate={"gamma": gamma, "route": "identity"},
             budget_used=used, note="vacuous: the displacement term is zero")
-    cert = _split_certificate(A, norm, tol=tol, samples=budget, seed=seed)
+    cert = _split_certificate(A, norm, samples=budget, seed=seed)
     if cert is not None:
         if cert["gamma"] >= gamma - 1e-15:
             out = dict(cert)
@@ -316,13 +319,13 @@ def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
 # ---------------------------------------------------------------------------
 
 def check_H_contractor(A, H: Subspace, norm: VectorNorm, *,
-                       tol: float = NORM_TOL, samples: int = 4096,
-                       seed: int = 0) -> ContractionVerdict:
+                       samples: int = 4096, seed: int = 0) -> ContractionVerdict:
     """Nonexpansive, H invariant, and strictly contracting on H?
 
-    The certificate carries the contraction ratio k on H.  An exact k at or
-    above 1 falsifies with the maximizing direction as witness; a sampled
-    lower bound below 1 cannot certify the supremum and stays inconclusive.
+    The certificate carries the contraction ratio k on H.  A k at or above 1
+    falsifies with the maximizing direction as witness, whether k is exact
+    or a sampled lower bound; a sampled k below 1 cannot certify the
+    supremum and stays inconclusive.
     """
     A = as_matrix(A)
     inv = check_invariance(A, H)
@@ -333,34 +336,31 @@ def check_H_contractor(A, H: Subspace, norm: VectorNorm, *,
             Verdict.FALSIFIED, "h_contractor", witness=H.basis[:, j],
             certificate={"invariance_residual": inv.residual},
             note="subspace is not invariant")
-    nonexp = is_nonexpansive(A, norm, tol=tol, samples=samples, seed=seed)
+    nonexp = is_nonexpansive(A, norm, samples=samples, seed=seed)
     if nonexp.falsified:
         return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
                                   witness=nonexp.witness,
                                   certificate=nonexp.certificate,
                                   note="matrix is expansive")
-    pn = partial_norm(A, H, norm, tol=tol, samples=samples, seed=seed)
+    pn = partial_norm(A, H, norm, samples=samples, seed=seed)
     cert = {"k": pn.value, "k_method": pn.method, "k_strategy": pn.strategy,
             "subspace_dim": H.dim}
     if not nonexp.certified:
         return ContractionVerdict(Verdict.INCONCLUSIVE, "h_contractor",
                                   certificate=cert, note=nonexp.note)
-    if pn.is_exact:
-        if pn.value >= 1.0:
-            return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
-                                      witness=pn.witness, certificate=cert)
-        if pn.value >= 1.0 - tol:
-            return ContractionVerdict(
-                Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
-                note="contraction ratio within tolerance of 1")
-        return ContractionVerdict(Verdict.CERTIFIED, "h_contractor",
-                                  certificate=cert)
     if pn.value >= 1.0:
         return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
                                   witness=pn.witness, certificate=cert)
-    return ContractionVerdict(
-        Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
-        note="contraction ratio known only as a sampled lower bound")
+    if not pn.is_exact:
+        return ContractionVerdict(
+            Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
+            note="contraction ratio known only as a sampled lower bound")
+    if pn.value >= 1.0 - NORM_TOL:
+        return ContractionVerdict(
+            Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
+            note="contraction ratio within tolerance of 1")
+    return ContractionVerdict(Verdict.CERTIFIED, "h_contractor",
+                              certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +408,8 @@ def _audit_agreement(verdicts: dict) -> tuple[bool, str | None]:
 
 
 def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
-                        proof_samples: int = 0, seed: int = 0,
-                        tol: float = NORM_TOL) -> EquivalenceAuditReport:
+                        proof_samples: int = 0,
+                        seed: int = 0) -> EquivalenceAuditReport:
     """Classify A three ways under the additive norm built on its own split.
 
     Builds the norm that adds ``base`` values across the moving part (range
@@ -431,7 +431,7 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
             Verdict.INCONCLUSIVE, "h_contractor",
             note="fixed-point boundary: the moving space is zero and every "
                  "nonzero invariant subspace has ratio exactly 1")
-        nonexp = is_nonexpansive(A, base, tol=tol, seed=seed)
+        nonexp = is_nonexpansive(A, base, seed=seed)
         return EquivalenceAuditReport(
             nonexpansive=nonexp, l_paracontracting=lpara, paracontracting=para,
             h_contractor=hc, k=None, gamma=None, hypotheses_ok=True,
@@ -440,7 +440,7 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
 
     pair = complementary_pair(A)
     if not pair.complementary:
-        nonexp = is_nonexpansive(A, base, tol=tol, seed=seed)
+        nonexp = is_nonexpansive(A, base, seed=seed)
         bad = ContractionVerdict(
             Verdict.INCONCLUSIVE, "h_contractor",
             note="fixed and moving spaces are not complementary")
@@ -451,24 +451,22 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
             disagreement=None, proof_chain=None)
 
     nu = additive_norm(base, pair.moving, pair.fixed)
-    nonexp = is_nonexpansive(A, nu, tol=tol, samples=budget, seed=seed)
+    nonexp = is_nonexpansive(A, nu, samples=budget, seed=seed)
     kres = partial_norm(A, pair.moving, base, samples=budget, seed=seed)
     k = kres.value
     hypotheses_ok = nonexp.certified and kres.is_exact
     boundary = None
     gamma = None
-    if kres.is_exact and k >= 1.0 - tol:
+    if kres.is_exact and k >= 1.0 - NORM_TOL:
         boundary = f"k={k:.6g}"
-    elif kres.is_exact and k < 1.0 - tol:
+    elif kres.is_exact and k < 1.0 - NORM_TOL:
         gamma = lp_gamma(k)
 
-    para = check_paracontracting(A, nu, budget, seed=seed, tol=tol)
-    hc = check_H_contractor(A, pair.moving, nu, tol=tol, samples=budget,
-                            seed=seed)
+    para = check_paracontracting(A, nu, budget, seed=seed)
+    hc = check_H_contractor(A, pair.moving, nu, samples=budget, seed=seed)
     lpara = None
     if gamma is not None:
-        lpara = check_l_paracontracting(A, nu, gamma, budget, seed=seed,
-                                        tol=tol)
+        lpara = check_l_paracontracting(A, nu, gamma, budget, seed=seed)
     agreement_ok, disagreement = _audit_agreement(
         {"l_paracontracting": lpara, "paracontracting": para,
          "h_contractor": hc})
@@ -513,8 +511,8 @@ class MonotonicityProbe(NamedTuple):
 
 
 def probe_strict_monotonicity(norm: VectorNorm, H: Subspace, K: Subspace, *,
-                              samples: int = 500, seed: int = 0,
-                              rtol: float = 1e-12) -> MonotonicityProbe:
+                              samples: int = 500,
+                              seed: int = 0) -> MonotonicityProbe:
     """Sample the condition: growing the H part strictly grows the norm.
 
     Checks norm(y) < norm(y') implies norm(y + z) < norm(y' + z) on random
@@ -536,7 +534,7 @@ def probe_strict_monotonicity(norm: VectorNorm, H: Subspace, K: Subspace, *,
             y, yp, ny, nyp = yp, y, nyp, ny
         if ny >= nyp * (1.0 - 1e-9):
             continue  # the hypothesis norm(y) < norm(y') is not clearly met
-        if norm(y + z) >= norm(yp + z) * (1.0 - rtol):
+        if norm(y + z) >= norm(yp + z) * (1.0 - FALSIFY_RTOL):
             return MonotonicityProbe(False, (y, yp, z), i + 1)
     return MonotonicityProbe(True, None, samples)
 

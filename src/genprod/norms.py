@@ -13,14 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Default tolerances.  Chosen for double precision at dimensions up to ~100;
-# every operation that uses one accepts an override.
+# Default tolerances, chosen for double precision at dimensions up to ~100.
 INVARIANCE_TOL = 1e-9
 RANK_FLOOR = 1e-10
 NORM_TOL = 1e-8
-
-# Scale-invariant threshold for "Ax differs from x".
-FIXED_POINT_RTOL = 1e-9
 
 
 class InvarianceError(ValueError):
@@ -690,7 +686,6 @@ def _pattern_refine(A, H: Subspace, norm: VectorNorm,
 
 
 def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
-                 tol: float = NORM_TOL, invariance_tol: float = INVARIANCE_TOL,
                  route: str = "auto", samples: int = 4096, seed: int = 0,
                  check: bool = True) -> PartialNormResult:
     """Supremum of norm(A x) / norm(x) over nonzero x in the invariant subspace H.
@@ -718,9 +713,9 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
         raise ValueError(f"unknown route {route!r}")
     if H.dim == 0:
         return PartialNormResult(0.0, None, "closed_form", "zero_subspace",
-                                 tol, zero_subspace=True)
+                                 NORM_TOL, zero_subspace=True)
     if check:
-        inv = check_invariance(A, H, invariance_tol)
+        inv = check_invariance(A, H)
         if not inv.ok:
             raise InvarianceError(
                 f"subspace not invariant under the matrix "
@@ -734,23 +729,22 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                 if part.dim >= H.dim and \
                         float(np.linalg.norm(H.basis - part.basis @ (
                             part.basis.conj().T @ H.basis))) <= 1e-9 * np.sqrt(max(H.dim, 1)):
-                    return partial_norm(A, H, norm.base, tol=tol,
-                                        invariance_tol=invariance_tol,
-                                        route=route, samples=samples, seed=seed,
+                    return partial_norm(A, H, norm.base, route=route,
+                                        samples=samples, seed=seed,
                                         check=False)
         if H.dim == 1:
             b = H.basis[:, 0]
             nb = norm(b)
             value = float(norm(A @ b) / nb)
             return PartialNormResult(value, _readonly(b / nb), "closed_form",
-                                     "single_direction", tol)
+                                     "single_direction", NORM_TOL)
         if isinstance(norm, PNorm) and norm.p == 1.0 and \
                 not np.iscomplexobj(A) and is_mean_zero_subspace(H):
             best, pair = max_column_distance(A)
             w = np.zeros(A.shape[0])
             w[pair[0]], w[pair[1]] = 0.5, -0.5
             return PartialNormResult(best / 2.0, _readonly(w), "closed_form",
-                                     "mean_zero_extreme_pairs", tol)
+                                     "mean_zero_extreme_pairs", NORM_TOL)
         if isinstance(norm, PNorm) and norm.p == 2.0:
             value, coords = _top_singular(A @ H.basis)
             witness = None
@@ -758,7 +752,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                 witness = H.basis @ coords
                 witness = _readonly(witness / norm(witness))
             return PartialNormResult(value, witness, "closed_form",
-                                     "gram_spectral", tol)
+                                     "gram_spectral", NORM_TOL)
         if route == "closed":
             raise ValueError(f"no exact route for norm {norm.name!r} on a "
                              f"{H.dim}-dimensional subspace")
@@ -777,7 +771,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     w = H.basis @ best_c
     w = _readonly(w / norm(w))
     return PartialNormResult(best, w, "optimized",
-                             "multistart_sampling+pattern_refine", tol,
+                             "multistart_sampling+pattern_refine", NORM_TOL,
                              samples=int(C.shape[1]))
 
 

@@ -27,6 +27,8 @@ from .stochastic import validate_stochastic
 
 CLUSTER_REL_TOL = 1e-6
 RANK_REL_TOL = 1e-9
+# How far |lambda| must beat the norm ratio on H before the bound is decided.
+MARGIN_TOL = 1e-9
 
 
 class MultiplicityAmbiguityError(ValueError):
@@ -59,14 +61,15 @@ class MultiplicityReport:
                 f"algebraic {self.algebraic}")
 
 
-def multiplicities(A, lam: complex, cluster_tol: float | None = None,
-                   rank_tol: float = RANK_REL_TOL) -> MultiplicityReport:
+def multiplicities(A, lam: complex,
+                   cluster_tol: float | None = None) -> MultiplicityReport:
     """Count the eigenvalue cluster at lam and the nullity of (A - lam I).
 
     ``cluster_tol`` defaults to 1e-6 times the spectral norm of A; values are
-    absolute after resolution.  Raises MultiplicityAmbiguityError when some
-    computed eigenvalue lies between one and ten cluster tolerances from lam,
-    i.e. the cluster is not cleanly separated at this tolerance.
+    absolute after resolution; the nullity is decided at ``RANK_REL_TOL``
+    relative.  Raises MultiplicityAmbiguityError when some computed
+    eigenvalue lies between one and ten cluster tolerances from lam, i.e.
+    the cluster is not cleanly separated at this tolerance.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -86,7 +89,7 @@ def multiplicities(A, lam: complex, cluster_tol: float | None = None,
             boundary_distances=tuple(np.sort(dist[straddle]).tolist()))
     algebraic = int(np.sum(inside))
     s = np.linalg.svd(A - lam * np.eye(n), compute_uv=False)
-    cutoff = rank_tol * (s[0] if s[0] > 0 else 1.0)
+    cutoff = RANK_REL_TOL * (s[0] if s[0] > 0 else 1.0)
     if algebraic >= 1:
         # Rank decisions must be at least as coarse as the clustering
         # decision: an eigenvalue within ctol of lam pushes a singular value
@@ -97,7 +100,7 @@ def multiplicities(A, lam: complex, cluster_tol: float | None = None,
                               float(ctol), float(cutoff))
 
 
-def eigenvalue_one_semisimple(A, rank_tol: float = RANK_REL_TOL) -> bool:
+def eigenvalue_one_semisimple(A) -> bool:
     """Is every generalized eigenvector at eigenvalue 1 an eigenvector?
 
     Decided by comparing the rank of (A - I) with the rank of its square,
@@ -110,7 +113,7 @@ def eigenvalue_one_semisimple(A, rank_tol: float = RANK_REL_TOL) -> bool:
         s = np.linalg.svd(B, compute_uv=False)
         if s.size == 0 or s[0] == 0:
             return 0
-        return int(np.sum(s > rank_tol * s[0]))
+        return int(np.sum(s > RANK_REL_TOL * s[0]))
 
     return rank(M) == rank(M @ M)
 
@@ -142,9 +145,8 @@ class MultiplicityBoundReport:
         return self.algebraic_bound.holds and self.geometric_bound.holds
 
 
-def check_multiplicity_bounds(A, H: Subspace, lam: complex,
-                              cluster_tol: float | None = None,
-                              rank_tol: float = RANK_REL_TOL) -> MultiplicityBoundReport:
+def check_multiplicity_bounds(A, H: Subspace,
+                              lam: complex) -> MultiplicityBoundReport:
     """Multiplicities of lam in A may exceed those in A restricted to H by at
     most the codimension of H; computes both sides of both inequalities.
 
@@ -156,11 +158,11 @@ def check_multiplicity_bounds(A, H: Subspace, lam: complex,
     A = as_matrix(A)
     n = A.shape[0]
     R = restrict(A, H)
-    full = multiplicities(A, lam, cluster_tol, rank_tol)
+    full = multiplicities(A, lam)
     if H.dim == 0:
         sub = MultiplicityReport(complex(lam), 0, 0, 0.0, 0.0)
     else:
-        sub = multiplicities(R, lam, full.cluster_tol, rank_tol)
+        sub = multiplicities(R, lam, full.cluster_tol)
     codim = n - H.dim
     return MultiplicityBoundReport(
         eigenvalue=complex(lam), subspace_dim=H.dim, codimension=codim,
@@ -192,17 +194,14 @@ class HighModulusReport:
 
 
 def high_modulus_bound(A, H: Subspace, norm: VectorNorm, lam: complex, *,
-                       margin_tol: float = 1e-9,
-                       cluster_tol: float | None = None,
-                       rank_tol: float = RANK_REL_TOL,
                        samples: int = 4096, seed: int = 0) -> HighModulusReport:
     """Multiplicity bound for eigenvalues beating the norm ratio on H.
 
     Requires |lam| to exceed the largest norm amplification over H by more
-    than ``margin_tol`` (otherwise the report is undecided).  Under that
+    than ``MARGIN_TOL`` (otherwise the report is undecided).  Under that
     margin the multiplicities of lam cannot exceed the codimension of H; a
     numerical contradiction raises HighModulusViolation with the diagnostics,
-    since it indicates misconfigured tolerances rather than mathematics.
+    since it indicates ill-chosen tolerances rather than mathematics.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -210,12 +209,12 @@ def high_modulus_bound(A, H: Subspace, norm: VectorNorm, lam: complex, *,
     modulus = abs(lam)
     margin = modulus - res.value
     codim = n - H.dim
-    if margin <= margin_tol:
+    if margin <= MARGIN_TOL:
         return HighModulusReport(complex(lam), modulus, res.value, margin,
-                                 margin_tol, codim, -1, -1, decided=False)
-    rep = multiplicities(A, lam, cluster_tol, rank_tol)
+                                 MARGIN_TOL, codim, -1, -1, decided=False)
+    rep = multiplicities(A, lam)
     out = HighModulusReport(complex(lam), modulus, res.value, margin,
-                            margin_tol, codim, rep.algebraic, rep.geometric,
+                            MARGIN_TOL, codim, rep.algebraic, rep.geometric,
                             decided=True)
     if not out.holds:
         raise HighModulusViolation(

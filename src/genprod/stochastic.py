@@ -67,9 +67,9 @@ def validate_stochastic(A, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     return A
 
 
-def is_stochastic(A, tol: float = STOCHASTIC_TOL) -> bool:
+def is_stochastic(A) -> bool:
     try:
-        validate_stochastic(A, tol)
+        validate_stochastic(A)
         return True
     except (StochasticityError, ValueError):
         return False
@@ -103,14 +103,13 @@ def repair_stochastic(A, max_adjustment: float = 1e-6) -> np.ndarray:
     return B
 
 
-def random_stochastic(n: int, rng=None, alpha: float = 1.0) -> np.ndarray:
-    """Random column-stochastic matrix with Dirichlet(alpha) columns."""
+def random_stochastic(n: int, rng=None) -> np.ndarray:
+    """Random column-stochastic matrix with uniform (Dirichlet(1)) columns."""
     rng = np.random.default_rng(rng)
-    return rng.dirichlet(np.full(n, alpha), size=n).T
+    return rng.dirichlet(np.ones(n), size=n).T
 
 
-def ergodicity_coefficient_l1(A, tol: float = STOCHASTIC_TOL,
-                              validate: bool = True) -> float:
+def ergodicity_coefficient_l1(A, validate: bool = True) -> float:
     """Closed-form coefficient: half the largest column-pair distance.
 
     Equals the largest amplification of the absolute-sum norm over mean-zero
@@ -118,15 +117,14 @@ def ergodicity_coefficient_l1(A, tol: float = STOCHASTIC_TOL,
     rank-one (all columns equal) and 1 when two columns have disjoint
     support.
     """
-    A = validate_stochastic(A, tol) if validate else as_matrix(A)
+    A = validate_stochastic(A) if validate else as_matrix(A)
     if A.shape[0] <= 1:
         return 0.0
     return 0.5 * max_column_distance(A)[0]
 
 
 def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
-                        seed: int = 0, route: str = "auto",
-                        tol: float = STOCHASTIC_TOL) -> float:
+                        seed: int = 0, route: str = "auto") -> float:
     """Coefficient of ergodicity for an arbitrary norm.
 
     The largest amplification of ``norm`` over the mean-zero hyperplane; for
@@ -134,7 +132,7 @@ def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
     ``route="sample"`` forces the sampling optimizer (the independent oracle
     for the closed form).
     """
-    A = validate_stochastic(A, tol)
+    A = validate_stochastic(A)
     H = mean_zero_subspace(A.shape[0])
     res = partial_norm(A, H, norm, samples=samples, seed=seed, route=route)
     return res.value
@@ -181,8 +179,8 @@ class WeakErgodicityReport:
 
 def weak_ergodicity_experiment(seq: MatrixSequence,
                                schedules: Sequence[ProductSchedule],
-                               threshold: float, max_r: int,
-                               tol: float = STOCHASTIC_TOL) -> WeakErgodicityReport:
+                               threshold: float,
+                               max_r: int) -> WeakErgodicityReport:
     """Stream general products of stochastic factors and trace the coefficient.
 
     Each step's coefficient of ergodicity equals the absolute-sum contraction
@@ -198,7 +196,7 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
         rs, coeffs = [], []
         crossed = None
         for step in stream_general_product(seq, sched, max_r):
-            validate_stochastic(step.factor, tol)
+            validate_stochastic(step.factor)
             w = ergodicity_coefficient_l1(step.matrix, validate=False)
             rs.append(step.r)
             coeffs.append(w)
@@ -330,8 +328,8 @@ class OverlapReport:
     contracts: bool
 
 
-def overlap_probe(A, tol: float = STOCHASTIC_TOL) -> OverlapReport:
-    A = validate_stochastic(A, tol)
+def overlap_probe(A) -> OverlapReport:
+    A = validate_stochastic(A)
     pos = A > 1e-12
     multi = bool((pos.sum(axis=1) >= 2).any())
     n = A.shape[0]

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import genprod
+from genprod import matio
 from genprod.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_REPLAY_MISMATCH,
     EXIT_VALIDATION,
     main,
+    run_config,
 )
 
 RUNNING = [[0.9, 0.2], [0.1, 0.8]]
@@ -164,6 +166,31 @@ def test_overflow_report_is_strict_json_and_replays(tmp_path):
     assert '"inf"' in text
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["replay", "--report", str(tmp_path / "over.json")]) == EXIT_OK
+
+
+def test_replay_reads_non_finite_literals_of_older_reports(tmp_path):
+    cfg = write_config(tmp_path, "p.json", {
+        "sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+        "schedules": [{"p": 0}], "norm": {"kind": "l1"}, "max_r": 5,
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        main(["product", "--config", str(cfg), "--out", str(tmp_path),
+              "--name", "over"])
+    path = tmp_path / "over.json"
+    path.write_text(path.read_text().replace('"inf"', "Infinity"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["replay", "--report", str(path)]) == EXIT_OK
+
+
+def test_run_config_report_is_json_ready(tmp_path):
+    config = {"sequence": {"kind": "constant",
+                           "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+              "schedules": [{"p": 0}], "norm": {"kind": "l1"}, "max_r": 5}
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_config("product", config, tmp_path)
+    assert matio.to_jsonable(report) == report
+    assert report["results"]["schedules"][0]["bound_M"] == "inf"
+    json.dumps(report, allow_nan=False)
 
 
 def test_flag_overrides_config(tmp_path):

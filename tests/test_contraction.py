@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from genprod import contraction, norms
 from genprod.contraction import (
     ContractionVerdict,
     Verdict,
@@ -279,6 +280,58 @@ def test_audit_complex_field():
     assert rep.k == pytest.approx(0.4, abs=1e-8)
 
 
+def test_split_of_I_minus_A_is_computed_once(monkeypatch):
+    calls = []
+    split = norms._split
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_split", counting)
+    rng = np.random.default_rng(3)
+    A, H, K, k = random_semisimple_nonexpansive(4, rng, k=0.5)
+    rep = equiv_theorem_audit(A, L2, budget=200)
+    assert rep.l_paracontracting.kind == C
+    assert len(calls) == 1
+    calls.clear()
+    nu = make_additive_norm(L2, H, K)
+    v = check_l_paracontracting(A, nu, lp_gamma(k) / 2, 200)
+    assert v.kind == C and v.certificate["route"] == "additive_split"
+    assert calls == []
+
+
+_E1, _E2 = np.eye(2)
+_DIAG = np.diag([1.0, 0.5])
+# One broken premise each: (A, H, K) for the additive norm over H + K.
+PREMISE_BREAKERS = {
+    "K moved by A": (_DIAG, Subspace.span(_E2), Subspace.span(_E1 + _E2)),
+    "H not invariant": (np.array([[1.0, 0.3], [0.0, 0.5]]),
+                        Subspace.span(_E2), Subspace.span(_E1)),
+    "parts swapped": (_DIAG, Subspace.span(_E1), Subspace.span(_E2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREMISE_BREAKERS))
+def test_split_certificate_needs_every_premise(case):
+    A, H, K = PREMISE_BREAKERS[case]
+    nu = make_additive_norm(L2, H, K)
+    assert contraction._split_certificate(A, nu, samples=200, seed=0) is None
+    for v in (check_paracontracting(A, nu, 200),
+              check_l_paracontracting(A, nu, 0.01, 200)):
+        assert not (v.certified and v.certificate
+                    and v.certificate.get("route") == "additive_split")
+
+
+def test_orthogonal_l2_route_does_not_swallow_unexpected_errors(monkeypatch):
+    def broken(A):
+        raise TypeError("not a rank or linear-algebra failure")
+
+    monkeypatch.setattr(contraction, "complementary_pair", broken)
+    with pytest.raises(TypeError):
+        check_paracontracting(np.diag([1.0, 0.5]), L2)
+
+
 # ---------------------------------------------------------------------------
 # Certification soundness on fresh samples
 # ---------------------------------------------------------------------------
@@ -296,6 +349,34 @@ def test_certified_verdicts_hold_on_fresh_samples():
     # strict drop on moved vectors
     moved = nu.batch(A @ X - X) > 1e-9 * nu.batch(X)
     assert np.all(lhs[moved] < nu.batch(X)[moved])
+
+
+def test_certified_rate_holds_on_fresh_samples_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+               base=st.sampled_from([L1, L2, LINF]),
+               complex_field=st.booleans())
+    def prop(seed, n, base, complex_field):
+        rng = np.random.default_rng(seed)
+        # Exact ratios on H: the Gram route for l2, one direction otherwise.
+        d = None if base is L2 else 1
+        A, H, K, k = random_semisimple_nonexpansive(
+            n, rng, moving_dim=d, complex_field=complex_field)
+        nu = make_additive_norm(base, H, K)
+        v = check_l_paracontracting(A, nu, lp_gamma(k) / 2, 200, seed=seed)
+        assert v.kind == C
+        gamma = v.certificate["gamma"]
+        X = rng.standard_normal((n, 500))
+        if complex_field:
+            X = X + 1j * rng.standard_normal((n, 500))
+        nx, nax = nu.batch(X), nu.batch(A @ X)
+        assert np.all(nax <= nx - gamma * nu.batch(A @ X - X) + 1e-10 * nx)
+
+    prop()
 
 
 # ---------------------------------------------------------------------------
