@@ -264,9 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(default: $GENPROD_OUT or the working directory)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="csv additionally writes one CSV file per trace")
-        p.add_argument("--max-r", type=int, default=None)
-        p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--name", default=None, help="report file stem")
+        if name in ("product", "ergodicity"):
+            p.add_argument("--max-r", type=int, default=None)
+            p.add_argument("--threshold", type=float, default=None)
     rp = sub.add_parser("replay")
     rp.add_argument("--report", required=True, help="report JSON to re-execute")
     rp.add_argument("--config", default=None,
@@ -300,12 +301,9 @@ def _cmd_run(args) -> int:
         config = json.loads(cfg_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise matio.ConfigError(f"config is not valid JSON: {e}") from None
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.max_r is not None:
-        config["max_r"] = args.max_r
-    if args.threshold is not None:
-        config["threshold"] = args.threshold
+    for key in ("seed", "max_r", "threshold"):
+        if vars(args).get(key) is not None:
+            config[key] = vars(args)[key]
     report = run_config(args.subcommand, config, cfg_path.parent)
     name = args.name or config.get("name") or args.subcommand
     path = _write_outputs(report, _out_dir(args.out), name, args.format)

@@ -28,11 +28,13 @@ from .norms import (
     AdditiveNorm,
     InvarianceError,
     L2,
+    MOVED_RTOL,
     NORM_TOL,
     PNorm,
     RankAmbiguityError,
     Subspace,
     VectorNorm,
+    _fixes,
     _operator_norm_detail,
     _standard_normal,
     additive_norm,
@@ -42,9 +44,8 @@ from .norms import (
     partial_norm,
 )
 
-# Scale-invariant thresholds for "A moves x" and for counting an equality as
-# a violation of a strict inequality.
-MOVED_RTOL = 1e-9
+# Scale-invariant threshold for counting an equality as a violation of a
+# strict inequality.
 FALSIFY_RTOL = 1e-12
 
 
@@ -186,9 +187,7 @@ def _split_certificate(A, norm, *, samples: int, seed: int):
     """
     if not isinstance(norm, AdditiveNorm):
         return None
-    K = norm.K.basis
-    if K.shape[1] and (np.abs(A @ K - K).max() >
-                       MOVED_RTOL * max(1.0, float(np.abs(A).max()))):
+    if not _fixes(A, norm.K):
         return None
     try:
         kres = partial_norm(A, norm.H, norm.base, samples=samples, seed=seed)

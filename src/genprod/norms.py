@@ -13,10 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Default tolerances, chosen for double precision at dimensions up to ~100.
+# Tolerances for double precision at dimensions up to ~100.  The subspace
+# layer takes its invariance, rank and "A fixes x" decisions from these only.
 INVARIANCE_TOL = 1e-9
 RANK_FLOOR = 1e-10
 NORM_TOL = 1e-8
+MOVED_RTOL = 1e-9
 
 
 class InvarianceError(ValueError):
@@ -30,8 +32,8 @@ class InvarianceError(ValueError):
 class RankAmbiguityError(ValueError):
     """A numerical rank decision fell inside the ambiguity band.
 
-    Carries the relative singular-value gap that straddled the cutoff so the
-    caller can pick a better tolerance.
+    Carries the relative singular-value gap that straddled the cutoff, so the
+    caller can see how far the data is from a clear decision.
     """
 
     def __init__(self, message, gap):
@@ -95,7 +97,6 @@ class Subspace:
     """
 
     basis: np.ndarray
-    tol: float = INVARIANCE_TOL
 
     def __post_init__(self):
         B = np.asarray(self.basis)
@@ -108,7 +109,7 @@ class Subspace:
             raise ValueError(f"subspace dimension {d} exceeds ambient dimension {n}")
         if d:
             gram = B.conj().T @ B
-            if not np.allclose(gram, np.eye(d), atol=max(self.tol, 1e-12) * 100):
+            if not np.allclose(gram, np.eye(d), atol=100 * INVARIANCE_TOL):
                 raise ValueError("subspace basis columns are not orthonormal")
         object.__setattr__(self, "basis", _readonly(B.copy()))
 
@@ -129,16 +130,16 @@ class Subspace:
         return cls(np.eye(n))
 
     @classmethod
-    def span(cls, *vectors, tol: float = INVARIANCE_TOL) -> "Subspace":
+    def span(cls, *vectors) -> "Subspace":
         """Orthonormalize spanning vectors (dependent ones are dropped)."""
         cols = [as_vector(v) for v in vectors]
         if not cols:
             raise ValueError("span() needs at least one vector")
         M = np.column_stack(cols)
-        return cls.from_spanning(M, tol=tol)
+        return cls.from_spanning(M)
 
     @classmethod
-    def from_spanning(cls, M, tol: float = INVARIANCE_TOL) -> "Subspace":
+    def from_spanning(cls, M) -> "Subspace":
         """Subspace spanned by the columns of M, via SVD with rank detection."""
         M = np.atleast_2d(np.asarray(M))
         if not np.issubdtype(M.dtype, np.inexact):
@@ -147,7 +148,7 @@ class Subspace:
             return cls.zero(M.shape[0])
         u, s, _ = np.linalg.svd(M, full_matrices=False)
         rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps * s[0]))
-        return cls(u[:, :rank], tol=tol)
+        return cls(u[:, :rank])
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
@@ -162,11 +163,10 @@ class Subspace:
         """Coordinates of x in the orthonormal basis (x assumed in the subspace)."""
         return self.basis.conj().T @ as_vector(x, self.ambient_dim)
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x, tol: float = INVARIANCE_TOL) -> bool:
         x = as_vector(x, self.ambient_dim)
-        t = self.tol if tol is None else tol
         scale = max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.project(x))) <= t * scale
+        return float(np.linalg.norm(x - self.project(x))) <= tol * scale
 
     def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -185,7 +185,7 @@ class Subspace:
         # Complete the basis via full QR of [B | I].
         q, _ = np.linalg.qr(np.hstack([self.basis, np.eye(n, dtype=self.basis.dtype)]))
         comp = q[:, d:n]
-        return Subspace(comp, tol=self.tol)
+        return Subspace(comp)
 
 
 def mean_zero_subspace(n: int) -> Subspace:
@@ -206,21 +206,21 @@ def mean_zero_subspace(n: int) -> Subspace:
     return Subspace(q)
 
 
-def is_mean_zero_subspace(H: Subspace, tol: float = 1e-9) -> bool:
+def is_mean_zero_subspace(H: Subspace) -> bool:
     """True when H is exactly the sum-zero hyperplane (real basis)."""
     n = H.ambient_dim
     if H.dim != n - 1 or np.iscomplexobj(H.basis):
         return False
     e = np.ones(n)
-    return float(np.linalg.norm(H.basis.T @ e)) <= tol * np.sqrt(n)
+    return float(np.linalg.norm(H.basis.T @ e)) <= INVARIANCE_TOL * np.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
 # Rank decisions
 # ---------------------------------------------------------------------------
 
-def numerical_rank(singular_values, floor: float = RANK_FLOOR) -> int:
-    """Rank from descending singular values: values below floor*s0 are zero.
+def numerical_rank(singular_values) -> int:
+    """Rank from descending singular values: values below RANK_FLOOR*s0 are zero.
 
     Raises RankAmbiguityError when the gap between the last kept and the first
     dropped value spans fewer than two orders of magnitude, i.e. the data
@@ -230,7 +230,7 @@ def numerical_rank(singular_values, floor: float = RANK_FLOOR) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     rel = s / s[0]
-    rank = int(np.sum(rel > floor))
+    rank = int(np.sum(rel > RANK_FLOOR))
     if 0 < rank < s.size and rel[rank] > 0.0:
         gap = rel[rank - 1] / rel[rank]
         if gap < 100.0:
@@ -240,22 +240,22 @@ def numerical_rank(singular_values, floor: float = RANK_FLOOR) -> int:
     return rank
 
 
-def _split(A, tol: float) -> tuple[Subspace, Subspace]:
+def _split(A) -> tuple[Subspace, Subspace]:
     """Fixed space of A and range of (I - A), from one SVD of (I - A)."""
     A = as_matrix(A)
     u, s, vh = np.linalg.svd(np.eye(A.shape[0]) - A)
-    rank = numerical_rank(s, floor=tol)
+    rank = numerical_rank(s)
     return Subspace(vh[rank:].conj().T), Subspace(u[:, :rank])
 
 
-def fixed_point_space(A, tol: float = RANK_FLOOR) -> Subspace:
+def fixed_point_space(A) -> Subspace:
     """Nullspace of (I - A): the fixed vectors of A."""
-    return _split(A, tol)[0]
+    return _split(A)[0]
 
 
-def range_complement(A, tol: float = RANK_FLOOR) -> Subspace:
+def range_complement(A) -> Subspace:
     """Range of (I - A), the natural invariant complement to the fixed space."""
-    return _split(A, tol)[1]
+    return _split(A)[1]
 
 
 class SplittingReport(NamedTuple):
@@ -265,7 +265,7 @@ class SplittingReport(NamedTuple):
     min_angle_sv: float
 
 
-def complementary_pair(A, tol: float = RANK_FLOOR) -> SplittingReport:
+def complementary_pair(A) -> SplittingReport:
     """Fixed space of A and range of (I - A), with a complementarity flag.
 
     Both spaces come from one SVD of (I - A), so their dimensions always add
@@ -273,7 +273,7 @@ def complementary_pair(A, tol: float = RANK_FLOOR) -> SplittingReport:
     (equivalently, eigenvalue 1 of A has no nontrivial Jordan structure),
     decided by the smallest singular value of the stacked basis.
     """
-    fixed, moving = _split(A, tol)
+    fixed, moving = _split(A)
     stacked = np.hstack([fixed.basis, moving.basis])
     if stacked.shape[1] == 0:
         return SplittingReport(fixed, moving, True, 1.0)
@@ -325,7 +325,7 @@ class PNorm(VectorNorm):
         if self.p == 1.0:
             return float(a.sum())
         if self.p == 2.0:
-            return float(np.sqrt((a * a).sum()))
+            return float(_euclidean(a.reshape(-1, 1))[0])
         return float(a.max())
 
     def batch(self, X: np.ndarray) -> np.ndarray:
@@ -335,8 +335,37 @@ class PNorm(VectorNorm):
         if self.p == 1.0:
             return a.sum(axis=0)
         if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=0))
+            return _euclidean(a)
         return a.max(axis=0)
+
+
+def _pow2_factors(e):
+    """Powers of two f1, f2 with f1 * f2 = 2**-e, for e = frexp(peak)[1].
+
+    Scaling by both brings peak into [1/2, 1).  The scale is split in two
+    halves so that neither factor leaves the float range when peak is
+    subnormal or near the largest float; multiplying or dividing by either
+    is exact.  Works elementwise on an array of exponents.
+    """
+    h = e // 2
+    return 2.0 ** (h - e), 2.0 ** -h
+
+
+def _euclidean(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a >= 0.
+
+    Sums the squares directly wherever the sum lies in [2**-1000, 2**1000]:
+    there nothing overflowed and no square that matters underflowed.  Any
+    other column is first scaled by the power of two that brings its peak
+    into [1/2, 1).
+    """
+    ss = (a * a).sum(axis=0)
+    ok = (ss >= 2.0 ** -1000) & (ss <= 2.0 ** 1000)
+    if ok.all():
+        return np.sqrt(ss)
+    f1, f2 = _pow2_factors(np.frexp(np.where(ok, 0.5, a.max(axis=0)))[1])
+    S = a * f1 * f2
+    return np.sqrt((S * S).sum(axis=0)) / f1 / f2
 
 
 L1 = PNorm(1.0)
@@ -456,23 +485,19 @@ def _top_singular(M: np.ndarray):
     which is deterministic and accurate to machine precision.  (A plain
     power iteration stalls below 1e-8 accuracy when the top two singular
     values nearly coincide.)  M is first scaled by the power of two that
-    brings its largest entry into [1/2, 1), in two halves at the ends of the
-    exponent range, so M* M neither overflows nor underflows.  Note for the
-    test suite: this is a different algorithm on a different operator than
-    a full SVD of M, which therefore remains a valid independent oracle.
+    brings its largest entry into [1/2, 1), so M* M neither overflows nor
+    underflows.  Note for the test suite: this is a different algorithm on a
+    different operator than a full SVD of M, which therefore remains a valid
+    independent oracle.
     """
     m, d = M.shape
     peak = float(np.abs(M).max()) if m and d else 0.0
     if peak == 0.0:
         return 0.0, (np.zeros(d, dtype=M.dtype) if d else np.zeros(0))
-    e = math.frexp(peak)[1]
-    parts = (e // 2, e - e // 2) if abs(e) > 1021 else (e,)
-    for part in parts:
-        M = M * math.ldexp(1.0, -part)
+    f1, f2 = _pow2_factors(math.frexp(peak)[1])
+    M = M * f1 * f2
     vals, vecs = np.linalg.eigh(M.conj().T @ M)
-    top = math.sqrt(max(vals[-1], 0.0))
-    for part in parts:
-        top *= math.ldexp(1.0, part)  # exact; inf past the float range
+    top = math.sqrt(max(vals[-1], 0.0)) / f1 / f2  # exact; inf past the float range
     return top, vecs[:, -1]
 
 
@@ -524,13 +549,16 @@ def _operator_norm_detail(A, norm, *, samples=4096, seed=0):
         w[j] = 1.0 / wts[j]
         return float(ratios[j]), w, True
     if isinstance(norm, AdditiveNorm):
-        okH = check_invariance(A, norm.H).ok if norm.H.dim else True
-        okK = check_invariance(A, norm.K).ok if norm.K.dim else True
-        if okH and okK:
+        parts = [part for part in (norm.H, norm.K) if part.dim]
+        fixed = [_fixes(A, part) for part in parts]
+        if all(f or check_invariance(A, part).ok for f, part in zip(fixed, parts)):
+            # A part that A fixes has ratio exactly 1 under the base norm.
             candidates = []
             exact = True
-            for part in (norm.H, norm.K):
-                if part.dim == 0:
+            for f, part in zip(fixed, parts):
+                if f:
+                    b = part.basis[:, 0]
+                    candidates.append((1.0, _readonly(b / norm.base(b))))
                     continue
                 r = partial_norm(A, part, norm.base, samples=samples, seed=seed,
                                  check=False)
@@ -550,11 +578,19 @@ class InvarianceResult(NamedTuple):
     residual: float
 
 
-def check_invariance(A, H: Subspace, tol: float = INVARIANCE_TOL) -> InvarianceResult:
+def _fixes(A: np.ndarray, K: Subspace) -> bool:
+    """Does A fix every vector of K?  ``max|A K - K| <= MOVED_RTOL * max(1, max|A|)``."""
+    B = K.basis
+    return K.dim == 0 or bool(np.abs(A @ B - B).max() <=
+                              MOVED_RTOL * max(1.0, float(np.abs(A).max())))
+
+
+def check_invariance(A, H: Subspace) -> InvarianceResult:
     """Does A map H into H?  Residual is ||(I - P_H) A B_H|| (spectral).
 
-    The residual is compared with ``tol * max(1, ||A||_F)``, so the decision
-    does not depend on the scale of A.
+    The residual is compared with ``INVARIANCE_TOL * ||A||_F``, so the
+    decision does not depend on the scale of A; the zero matrix leaves every
+    subspace invariant.
     """
     A = as_matrix(A)
     if A.shape[0] != H.ambient_dim:
@@ -565,18 +601,22 @@ def check_invariance(A, H: Subspace, tol: float = INVARIANCE_TOL) -> InvarianceR
     leak = AB - H.basis @ (H.basis.conj().T @ AB)
     residual = float(np.linalg.norm(leak, 2))
     m = float(np.abs(A).max())  # pre-scaled Frobenius norm: squares cannot overflow
-    scale = max(1.0, m * float(np.linalg.norm(A / m)) if m else 0.0)
-    return InvarianceResult(residual <= tol * scale, residual)
+    scale = m * float(np.linalg.norm(A / m)) if m else 0.0
+    return InvarianceResult(residual <= INVARIANCE_TOL * scale, residual)
 
 
-def restrict(A, H: Subspace, tol: float = INVARIANCE_TOL) -> np.ndarray:
-    """Matrix of A acting on H, written in H's orthonormal basis."""
-    A = as_matrix(A)
-    inv = check_invariance(A, H, tol)
+def _require_invariance(A, H: Subspace) -> None:
+    inv = check_invariance(A, H)
     if not inv.ok:
         raise InvarianceError(
-            f"subspace is not invariant (residual {inv.residual:.3e} > {tol:.1e})",
-            residual=inv.residual)
+            f"subspace not invariant under the matrix "
+            f"(residual {inv.residual:.3e})", residual=inv.residual)
+
+
+def restrict(A, H: Subspace) -> np.ndarray:
+    """Matrix of A acting on H, written in H's orthonormal basis."""
+    A = as_matrix(A)
+    _require_invariance(A, H)
     return H.basis.conj().T @ A @ H.basis
 
 
@@ -700,8 +740,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
         lower bound whose tightness is heuristic.
 
     ``route="sample"`` forces the sampling optimizer (useful as an
-    independent cross-check of the closed forms); ``route="closed"`` raises
-    when no exact route applies.
+    independent cross-check of the closed forms).
 
     Raises InvarianceError when H is not invariant under A (skipped with
     ``check=False``, e.g. for full-space operator norms).
@@ -709,17 +748,13 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     A = as_matrix(A)
     if A.shape[0] != H.ambient_dim:
         raise ValueError("matrix and subspace dimensions differ")
-    if route not in ("auto", "closed", "sample"):
+    if route not in ("auto", "sample"):
         raise ValueError(f"unknown route {route!r}")
     if H.dim == 0:
         return PartialNormResult(0.0, None, "closed_form", "zero_subspace",
                                  NORM_TOL, zero_subspace=True)
     if check:
-        inv = check_invariance(A, H)
-        if not inv.ok:
-            raise InvarianceError(
-                f"subspace not invariant under the matrix "
-                f"(residual {inv.residual:.3e})", residual=inv.residual)
+        _require_invariance(A, H)
 
     if route != "sample":
         # An additive norm agrees with its base norm on each of its parts, so
@@ -753,9 +788,6 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
                 witness = _readonly(witness / norm(witness))
             return PartialNormResult(value, witness, "closed_form",
                                      "gram_spectral", NORM_TOL)
-        if route == "closed":
-            raise ValueError(f"no exact route for norm {norm.name!r} on a "
-                             f"{H.dim}-dimensional subspace")
 
     # Sampling route.
     rng = np.random.default_rng(seed)
@@ -787,8 +819,8 @@ class NormAxiomReport(NamedTuple):
 
 
 def check_norm_axioms(norm: VectorNorm, n: int, *, samples: int = 200,
-                      seed: int = 0, complex_field: bool = False,
-                      tol: float = 1e-9) -> NormAxiomReport:
+                      seed: int = 0,
+                      complex_field: bool = False) -> NormAxiomReport:
     """Sample homogeneity / triangle / definiteness violations of a norm.
 
     Returns maximal relative violations; a valid implementation shows values
@@ -807,5 +839,5 @@ def check_norm_axioms(norm: VectorNorm, n: int, *, samples: int = 200,
         tri = max(tri, (norm(x + y) - nx - ny) / scale)
         if nx <= 0 and float(np.linalg.norm(x)) > 1e-12:
             return NormAxiomReport(hom, tri, False, samples)
-    zero_ok = norm(np.zeros(n, dtype=complex if complex_field else float)) <= tol
+    zero_ok = norm(np.zeros(n, dtype=complex if complex_field else float)) <= 1e-9
     return NormAxiomReport(hom, tri, zero_ok, samples)

@@ -388,8 +388,7 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
         overflow_at=overflow_at)
 
 
-def restrict_stream(seq: MatrixSequence, H: Subspace,
-                    tol: float = 1e-9) -> MatrixSequence:
+def restrict_stream(seq: MatrixSequence, H: Subspace) -> MatrixSequence:
     """The sequence of factors restricted to a common invariant subspace.
 
     Restriction is lazy; a factor that fails the invariance check raises
@@ -404,7 +403,7 @@ def restrict_stream(seq: MatrixSequence, H: Subspace,
     def rule(i: int) -> np.ndarray:
         A = seq.factor(i)
         try:
-            return restrict(A, H, tol)
+            return restrict(A, H)
         except InvarianceError as e:
             raise InvarianceError(
                 f"factor {i} does not leave the subspace invariant "

@@ -242,6 +242,27 @@ def test_spectral_subcommand(tmp_path):
     assert rep["results"]["simple_one"]["passed"] is True
 
 
+def test_spectral_accepts_column_sum_drift_within_tolerance(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {
+        "matrix": [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2 + 5e-9, 0.3, 0.5]],
+        "eigenvalue": 1.0,
+        "stochastic_simple_one": True,
+    })
+    assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    rep = read_report(tmp_path, "spectral")
+    assert rep["results"]["simple_one"]["passed"] is True
+
+
+@pytest.mark.parametrize("sub", ["norm", "classify", "spectral"])
+@pytest.mark.parametrize("flag", [["--max-r", "5"], ["--threshold", "1e-3"]])
+def test_trace_flags_rejected_where_nothing_reads_them(tmp_path, sub, flag):
+    cfg = write_config(tmp_path, "c.json", {"matrix": RUNNING, "eigenvalue": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--config", str(cfg), "--out", str(tmp_path)] + flag)
+    assert exc.value.code == EXIT_VALIDATION
+    assert not (tmp_path / f"{sub}.json").exists()
+
+
 def test_invalid_config_json(tmp_path, capsys):
     bad = tmp_path / "x.json"
     bad.write_text("{not json")

@@ -271,6 +271,15 @@ def test_audit_random_semisimple_never_disagrees(seed):
     assert rep.proof_chain.drop_deficit <= 1e-9
 
 
+def test_fixed_part_of_additive_norm_is_exact():
+    A, H, K, _ = random_semisimple_nonexpansive(
+        4, np.random.default_rng(7), moving_dim=1)
+    v = is_nonexpansive(A, make_additive_norm(L1, H, K))
+    assert v.kind == C
+    assert v.certificate == {"operator_norm": 1.0, "exact": True}
+    assert equiv_theorem_audit(A, L1).hypotheses_ok
+
+
 def test_audit_complex_field():
     rng = np.random.default_rng(11)
     A, H, K, k = random_semisimple_nonexpansive(4, rng, k=0.4,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,6 +30,7 @@ from genprod.norms import (
     restrict,
     vector_norm,
 )
+from genprod.contraction import random_semisimple_nonexpansive
 from genprod.stochastic import ergodicity_coefficient_l1, random_stochastic
 
 from conftest import block_triangular_similarity, random_orthogonal
@@ -90,6 +92,22 @@ def test_batch_agrees_with_scalar():
         np.testing.assert_allclose(
             norm.batch(X), [norm(X[:, j]) for j in range(X.shape[1])],
             rtol=1e-13, atol=1e-13)
+
+
+def test_l2_squares_directly_where_safe():
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((8, 500)) * 10.0 ** rng.uniform(-100, 100, 500)
+    plain = np.sqrt((np.abs(X) ** 2).sum(axis=0))
+    np.testing.assert_array_equal(L2.batch(X), plain)
+    assert [L2(X[:, j]) for j in range(5)] == plain[:5].tolist()
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+def test_l2_vector_norm_scales(c):
+    x = np.array([3.0, -4.0, 0.0])
+    assert vector_norm(c * x, L2) == pytest.approx(5.0 * c, rel=1e-15)
+    np.testing.assert_allclose(L2.batch(c * np.stack([x, 2 * x], axis=1)),
+                               [5.0 * c, 10.0 * c], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +205,10 @@ def test_mean_zero_subspace_structure():
     assert not is_mean_zero_subspace(Subspace.span([1, 0, 0, 0, 0]))
 
 
+def test_subspace_carries_only_its_basis():
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["basis"]
+
+
 def test_orthogonal_complement_splits_space():
     S = Subspace.span([1, 2, 3], [0, 1, 0])
     C = S.orthogonal_complement()
@@ -247,12 +269,37 @@ def test_partial_norm_scales_with_large_matrices(n, seed):
             c * partial_norm(A, H, L1).value, rel=1e-12)
 
 
-@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e200])
+@pytest.mark.parametrize("c", [1e-250, 1e-100, 1e-8, 1.0, 1e8, 1e200])
 def test_scaled_non_invariant_subspace_still_rejected(c):
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert not check_invariance(c * rot, Subspace.span([1, 0])).ok
     with pytest.raises(InvarianceError):
         partial_norm(c * rot, Subspace.span([1, 0]), L1)
+
+
+def test_invariance_decision_is_scale_free_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+               invariant=st.booleans(), k=st.integers(-250, 250))
+    def prop(seed, n, invariant, k):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, n))
+        A, H, _ = block_triangular_similarity(
+            n, n - d, rng, leading_eigs=rng.uniform(-2, 2, n - d),
+            trailing_eigs=rng.uniform(-2, 2, d))
+        if not invariant:
+            # Map the first basis vector of H partly out of H.
+            out = H.orthogonal_complement().basis[:, :1]
+            A = A + out @ H.basis[:, :1].T
+        assert check_invariance(A, H).ok == invariant
+        assert check_invariance(10.0 ** k * A, H).ok == invariant
+
+    prop()
+    assert check_invariance(np.zeros((3, 3)), Subspace.span([1, 0, 0])).ok
 
 
 def test_restrict_respects_products():
@@ -310,6 +357,22 @@ def test_numerical_rank_ambiguity():
 # ---------------------------------------------------------------------------
 # Partial norms
 # ---------------------------------------------------------------------------
+
+def test_closed_is_an_unknown_route():
+    with pytest.raises(ValueError, match="unknown route"):
+        partial_norm(np.eye(3), mean_zero_subspace(3), LINF, route="closed")
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_sampled_l2_based_partial_norm_scales(c):
+    A, H, K, _ = random_semisimple_nonexpansive(
+        4, np.random.default_rng(3), moving_dim=2, k=0.5)
+    nu = additive_norm(L2, H, K)
+    ref = partial_norm(A, H, nu, route="sample").value
+    assert ref == pytest.approx(0.5, abs=1e-9)
+    scaled = partial_norm(c * A, H, nu, route="sample").value
+    assert abs(scaled / c - ref) <= 1e-12
+
 
 def test_partial_norm_identity_is_one():
     for H in (Subspace.span([1, 0, 0]), mean_zero_subspace(3)):

@@ -6,6 +6,7 @@ from genprod.norms import L1, L2, operator_norm, partial_norm
 from genprod.norms import mean_zero_subspace as ergodicity_subspace
 from genprod.products import MatrixSequence, Ordering, Permutation, ProductSchedule
 from genprod.series import ConditionVerdict, TailModel
+from genprod.spectral import stochastic_simple_one
 from genprod.stochastic import (
     StochasticityError,
     accumulation_corollary_check,
@@ -34,6 +35,20 @@ def test_validate_accepts_random_stochastic():
         A = random_stochastic(n, rng)
         validate_stochastic(A)
         assert operator_norm(A, L1) == pytest.approx(1.0)
+
+
+def test_accepted_column_sum_drift_is_accepted_by_every_coefficient():
+    # Column 0 sums to 1 + 5e-9: inside STOCHASTIC_TOL, so the matrix is
+    # stochastic and the mean-zero hyperplane counts as invariant.
+    A = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2 + 5e-9, 0.3, 0.5]])
+    w = ergodicity_coefficient_l1(A)
+    assert general_coefficient(A) == w
+    assert stochastic_simple_one(A).coefficient == w
+    B = A.copy()
+    B[2, 0] += 1e-6
+    for f in (general_coefficient, stochastic_simple_one):
+        with pytest.raises(StochasticityError):
+            f(B)
 
 
 def test_validate_points_at_bad_column():
