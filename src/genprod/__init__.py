@@ -40,6 +40,7 @@ from .norms import (
     fixed_point_space,
     mean_zero_subspace,
     operator_norm,
+    operator_norms,
     partial_norm,
     range_complement,
     restrict,

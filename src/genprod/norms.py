@@ -164,9 +164,17 @@ class Subspace:
         return self.basis.conj().T @ as_vector(x, self.ambient_dim)
 
     def contains(self, x, tol: float = INVARIANCE_TOL) -> bool:
+        """Is ``||x - P x|| <= tol * ||x||``?  Decided on x scaled by a power
+        of two, so the answer does not depend on the scale of x; the zero
+        vector is contained."""
         x = as_vector(x, self.ambient_dim)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.project(x))) <= tol * scale
+        peak = float(np.abs(x).max()) if x.size else 0.0
+        if peak == 0.0:
+            return True
+        f1, f2 = _pow2_factors(math.frexp(peak)[1])
+        x = x * f1 * f2
+        return float(np.linalg.norm(x - self.project(x))) <= \
+            tol * float(np.linalg.norm(x))
 
     def equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
@@ -357,9 +365,18 @@ def _euclidean(a: np.ndarray) -> np.ndarray:
     Sums the squares directly wherever the sum lies in [2**-1000, 2**1000]:
     there nothing overflowed and no square that matters underflowed.  Any
     other column is first scaled by the power of two that brings its peak
-    into [1/2, 1).
+    into [1/2, 1).  A column whose peak exceeds 2**500 is never squared
+    unscaled (its sum of squares would pass 2**1000 anyway), so no square
+    overflows.
     """
-    ss = (a * a).sum(axis=0)
+    if a.max(initial=0.0) > 2.0 ** 500:
+        big = a.max(axis=0) > 2.0 ** 500
+        b = np.copy(a)
+        b[:, big] = 0.0
+        ss = (b * b).sum(axis=0)
+        ss[big] = np.inf
+    else:
+        ss = (a * a).sum(axis=0)
     ok = (ss >= 2.0 ** -1000) & (ss <= 2.0 ** 1000)
     if ok.all():
         return np.sqrt(ss)
@@ -478,27 +495,68 @@ def vector_norm(x, norm: VectorNorm) -> float:
 # Operator and partial norms
 # ---------------------------------------------------------------------------
 
-def _top_singular(M: np.ndarray):
-    """Largest singular value of M and a maximizing right vector.
+def _top_singulars(S: np.ndarray):
+    """Largest singular value and a maximizing right vector of each matrix of
+    a stack S (m, r, c) with r, c >= 1.
 
     Computed from the symmetric eigendecomposition of the Gram matrix M* M,
     which is deterministic and accurate to machine precision.  (A plain
     power iteration stalls below 1e-8 accuracy when the top two singular
-    values nearly coincide.)  M is first scaled by the power of two that
+    values nearly coincide.)  Each M is first scaled by the power of two that
     brings its largest entry into [1/2, 1), so M* M neither overflows nor
-    underflows.  Note for the test suite: this is a different algorithm on a
+    underflows, and the value is scaled back exactly; it is inf past the
+    float range.  Note for the test suite: this is a different algorithm on a
     different operator than a full SVD of M, which therefore remains a valid
     independent oracle.
     """
+    f1, f2 = _pow2_factors(np.frexp(np.abs(S).max(axis=(1, 2)))[1])
+    T = S * f1[:, None, None] * f2[:, None, None]
+    vals, vecs = np.linalg.eigh(T.conj().transpose(0, 2, 1) @ T)
+    with np.errstate(over="ignore"):  # past the float range the value is inf
+        top = np.sqrt(np.maximum(vals[:, -1], 0.0)) / f1 / f2
+    return top, vecs[:, :, -1]
+
+
+def _top_singular(M: np.ndarray):
+    """:func:`_top_singulars` of one matrix; 0 and a zero vector when M is 0."""
     m, d = M.shape
-    peak = float(np.abs(M).max()) if m and d else 0.0
-    if peak == 0.0:
+    if not (m and d and M.any()):
         return 0.0, (np.zeros(d, dtype=M.dtype) if d else np.zeros(0))
-    f1, f2 = _pow2_factors(math.frexp(peak)[1])
-    M = M * f1 * f2
-    vals, vecs = np.linalg.eigh(M.conj().T @ M)
-    top = math.sqrt(max(vals[-1], 0.0)) / f1 / f2  # exact; inf past the float range
-    return top, vecs[:, -1]
+    top, vecs = _top_singulars(M[None])
+    return float(top[0]), vecs[0]
+
+
+def _abs_sums(S: np.ndarray, norm: VectorNorm) -> np.ndarray:
+    """Absolute column sums (l1), weighted column ratios (weighted l1) or row
+    sums (linf) of each matrix of a stack S (m, n, n): the operator norm is
+    the largest entry of each row of the result."""
+    absS = np.abs(S)
+    if isinstance(norm, WeightedL1):
+        return (norm.weights @ absS) / norm.weights
+    return absS.sum(axis=1 if norm.p == 1.0 else 2)
+
+
+def has_closed_form(norm: VectorNorm) -> bool:
+    """Does :func:`operator_norms` compute this norm in one stacked pass?"""
+    return isinstance(norm, (PNorm, WeightedL1))
+
+
+def operator_norms(S, norm: VectorNorm = L1) -> np.ndarray:
+    """Induced operator norm of each matrix of a stack S (m, n, n).
+
+    The closed forms (l1, linf, weighted l1 and l2) take one numpy pass over
+    the whole stack and equal :func:`operator_norm` on each matrix bit for
+    bit; any other norm calls :func:`operator_norm` once per matrix, with its
+    default samples and seed.  Entries must be finite.
+    """
+    S = np.asarray(S)
+    if not S.size:
+        return np.zeros(S.shape[0])
+    if not has_closed_form(norm):
+        return np.array([operator_norm(A, norm) for A in S])
+    if isinstance(norm, PNorm) and norm.p == 2.0:
+        return _top_singulars(S)[0]
+    return _abs_sums(S, norm).max(axis=1)
 
 
 def operator_norm(A, norm: VectorNorm = L1, *, samples: int = 4096,
@@ -523,31 +581,21 @@ def operator_norm(A, norm: VectorNorm = L1, *, samples: int = 4096,
 def _operator_norm_detail(A, norm, *, samples=4096, seed=0):
     """(value, witness, exact) triples backing operator_norm and verdicts."""
     n = A.shape[0]
-    absA = np.abs(A)
-    if isinstance(norm, PNorm) and norm.p == 1.0:
-        sums = absA.sum(axis=0)
-        j = int(np.argmax(sums))
-        w = np.zeros(n, dtype=A.dtype)
-        w[j] = 1.0
-        return float(sums[j]), w, True
-    if isinstance(norm, PNorm) and norm.p == np.inf:
-        sums = absA.sum(axis=1)
-        i = int(np.argmax(sums))
-        row = A[i]
-        w = np.ones(n, dtype=A.dtype)
-        nz = np.abs(row) > 0
-        w[nz] = np.conj(row[nz]) / np.abs(row[nz])
-        return float(sums[i]), w, True
     if isinstance(norm, PNorm) and norm.p == 2.0:
         val, vec = _top_singular(A)
         return val, vec, True
-    if isinstance(norm, WeightedL1):
-        wts = norm.weights
-        ratios = (wts @ absA) / wts
-        j = int(np.argmax(ratios))
-        w = np.zeros(n, dtype=A.dtype)
-        w[j] = 1.0 / wts[j]
-        return float(ratios[j]), w, True
+    if has_closed_form(norm):
+        sums = _abs_sums(A[None], norm)[0]
+        k = int(np.argmax(sums))
+        if isinstance(norm, PNorm) and norm.p == np.inf:
+            row = A[k]
+            w = np.ones(n, dtype=A.dtype)
+            nz = np.abs(row) > 0
+            w[nz] = np.conj(row[nz]) / np.abs(row[nz])
+        else:
+            w = np.zeros(n, dtype=A.dtype)
+            w[k] = 1.0 if isinstance(norm, PNorm) else 1.0 / norm.weights[k]
+        return float(sums[k]), w, True
     if isinstance(norm, AdditiveNorm):
         parts = [part for part in (norm.H, norm.K) if part.dim]
         fixed = [_fixes(A, part) for part in parts]
@@ -643,19 +691,28 @@ class PartialNormResult:
         return self.method == "closed_form"
 
 
+def column_pair_distances(S: np.ndarray) -> np.ndarray:
+    """Absolute-sum distance between columns j < l of each matrix of a stack
+    S (m, n, n) with n >= 2.
+
+    Returns an (m, n(n-1)/2) array in the lexicographic pair order of
+    ``np.triu_indices(n, 1)``.  It is built one column j at a time, so memory
+    stays O(m n^2).
+    """
+    return np.concatenate([np.abs(S[:, :, j + 1:] - S[:, :, j:j + 1]).sum(axis=1)
+                           for j in range(S.shape[2] - 1)], axis=1)
+
+
 def max_column_distance(A: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest absolute-sum distance between two columns of A (n >= 2).
 
     Returns the distance and the first pair (j, l), j < l, attaining it in
-    (j, l) order.  One row of pairs at a time, so memory stays O(n^2).
+    (j, l) order.
     """
-    best, pair = -1.0, (0, 1)
-    for j in range(A.shape[1] - 1):
-        diff = np.abs(A[:, j + 1:] - A[:, j:j + 1]).sum(axis=0)
-        l = int(np.argmax(diff))
-        if diff[l] > best:
-            best, pair = float(diff[l]), (j, j + 1 + l)
-    return best, pair
+    D = column_pair_distances(A[None])[0]
+    k = int(np.argmax(D))
+    j, l = np.triu_indices(A.shape[1], 1)
+    return float(D[k]), (int(j[k]), int(l[k]))
 
 
 def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:

@@ -9,17 +9,20 @@ fully re-ordered products that must be recomputed each step.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .norms import InvarianceError, Subspace, VectorNorm, as_matrix
-from .norms import operator_norm, restrict
+from .norms import has_closed_form, operator_norms, restrict
 from .series import TailModel, partial_sum_diagnostics
 
 UNDERFLOW_CLAMP = 1e-300
 OVERFLOW_LIMIT = 1e300
+# Largest block of steps a trace measures with one stacked call.
+BLOCK_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +155,13 @@ class Permutation:
                 x += 1
             return x
         g, off = divmod(position - 1, self.block)
-        rng = np.random.default_rng([self.seed, g])
-        perm = rng.permutation(self.block)
-        return g * self.block + int(perm[off]) + 1
+        return g * self.block + _block_permutation(self.seed, self.block, g)[off] + 1
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_permutation(seed: int, block: int, g: int) -> tuple[int, ...]:
+    """The shuffle of block g of a ``block_shuffle`` permutation."""
+    return tuple(np.random.default_rng([seed, g]).permutation(block).tolist())
 
 
 @dataclass(frozen=True)
@@ -294,9 +301,91 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    mus = [operator_norm(seq.factor(permutation.index_at(p + i)), norm)
-           for i in range(1, r_max + 1)]
-    return partial_sum_diagnostics(mus).plus_products
+    factors = [seq.factor(permutation.index_at(p + i)) for i in range(1, r_max + 1)]
+    return partial_sum_diagnostics(_block_norms(factors, norm)).plus_products
+
+
+class _Trace(NamedTuple):
+    values: list            # one value per step, clamped with ``limits``
+    factor_values: list     # the measure's second value per step
+    stop: str | None        # "overflow", "crossed" or None
+    clamped_from: int | None
+
+
+def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
+               measure, threshold: float | None, *, limits: bool,
+               cap: int = BLOCK_CAP, enter=None) -> _Trace:
+    """The trace loop of :func:`monitor_convergence` and
+    :func:`weak_ergodicity_experiment`.
+
+    Steps are pulled from :func:`stream_general_product` in blocks of 1, 2,
+    4, ... up to ``cap`` steps, and ``measure(steps)`` gives the value of
+    every step of a block, and a second value per step or None, in one call.
+    The rules then apply to the values in step order: with ``limits``, a
+    value below UNDERFLOW_CLAMP is raised to it (the first such step is
+    recorded) and a value that is not at most OVERFLOW_LIMIT stops the trace
+    as an overflow; a value below ``threshold`` stops it as a crossing.
+
+    So the stream runs at most ``cap - 1`` steps past the step that stops
+    the trace.  ``enter(step)`` runs on each step as it is pulled.  An error
+    raised by it or by the stream ends the block, and is raised once the
+    steps before it are measured, unless one of them stopped the trace.
+    With ``limits``, a product with an entry that is not at most
+    OVERFLOW_LIMIT also ends its block, so no product past an overflow is
+    multiplied out.
+    """
+    stream = stream_general_product(seq, sched, max_r)
+    values, factor_values = [], []
+    clamped_from = None
+    size = 1
+    while len(values) < max_r:
+        block, error = [], None
+        try:
+            for step in stream:
+                if enter is not None:
+                    enter(step)
+                block.append(step)
+                if len(block) == size or limits and not \
+                        np.abs(step.matrix).max(initial=0.0) <= OVERFLOW_LIMIT:
+                    break
+        except Exception as exc:
+            error = exc
+        if block:
+            vals, fvals = measure(block)
+            for k, v in enumerate(vals.tolist()):
+                r = len(values) + 1
+                if limits and v < UNDERFLOW_CLAMP:
+                    v = UNDERFLOW_CLAMP
+                    if clamped_from is None:
+                        clamped_from = r
+                values.append(v)
+                if fvals is not None:
+                    factor_values.append(fvals[k])
+                if limits and not v <= OVERFLOW_LIMIT:
+                    return _Trace(values, factor_values, "overflow", clamped_from)
+                if threshold is not None and v < threshold:
+                    return _Trace(values, factor_values, "crossed", clamped_from)
+        if error is not None:
+            raise error
+        size = min(2 * size, cap)
+    return _Trace(values, factor_values, None, clamped_from)
+
+
+def _block_norms(mats: list, norm: VectorNorm) -> np.ndarray:
+    """Operator norm of each matrix of a block; inf for a matrix with a
+    non-finite entry.
+
+    One stacked call when the block shares one dtype; a block that mixes
+    real and complex matrices is measured one matrix at a time, so every
+    value is the one :func:`operator_norm` gives.
+    """
+    if any(M.dtype != mats[0].dtype for M in mats):
+        return np.concatenate([_block_norms([M], norm) for M in mats])
+    S = np.stack(mats)
+    finite = np.isfinite(S).all(axis=(1, 2))
+    out = np.full(len(mats), np.inf)
+    out[finite] = operator_norms(S[finite], norm)
+    return out
 
 
 @dataclass(frozen=True)
@@ -345,46 +434,38 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     ``bounded_by`` when no threshold was given), or when the norm overflows:
     it exceeds 1e300, is NaN, or the product itself has non-finite entries
     (recorded as an infinite norm).  Underflowing values are clamped at
-    1e-300 and the first clamped step is recorded.
+    1e-300 and the first clamped step is recorded.  Steps are measured in
+    blocks of up to BLOCK_CAP, so ``seq`` may be asked for up to
+    BLOCK_CAP - 1 factors past the stop (see :func:`_run_trace`).
     """
     if threshold is not None and threshold <= 0:
         raise ValueError("threshold must be positive")
-    rs, mus, fmus = [], [], []
-    clamped_from = None
-    overflow_at = None
-    crossing = None
-    for step in stream_general_product(seq, sched, max_r):
-        mu = (operator_norm(step.matrix, norm)
-              if np.isfinite(step.matrix).all() else np.inf)
-        fmus.append(operator_norm(step.factor, norm))
-        if mu < UNDERFLOW_CLAMP:
-            mu = UNDERFLOW_CLAMP
-            if clamped_from is None:
-                clamped_from = step.r
-        rs.append(step.r)
-        mus.append(mu)
-        if not mu <= OVERFLOW_LIMIT:
-            overflow_at = step.r
-            break
-        if threshold is not None and mu < threshold:
-            crossing = step.r
-            break
-    diag = partial_sum_diagnostics(fmus)
+
+    def measure(steps):
+        return (_block_norms([step.matrix for step in steps], norm),
+                _block_norms([step.factor for step in steps], norm))
+
+    # A sampled norm is measured one step at a time: none is spent past the stop.
+    run = _run_trace(seq, sched, max_r, measure, threshold, limits=True,
+                     cap=BLOCK_CAP if has_closed_form(norm) else 1)
+    diag = partial_sum_diagnostics(run.factor_values)
     bound_M = float(diag.plus_products[-1])
     envelope = bound_M * diag.minus_products
+    r = len(run.values)
+    overflow_at = r if run.stop == "overflow" else None
     if overflow_at is not None:
         status = TraceStatus("exhausted", r=overflow_at, bound=bound_M)
-    elif crossing is not None:
-        status = TraceStatus("converged_below", r=crossing, threshold=threshold)
+    elif run.stop == "crossed":
+        status = TraceStatus("converged_below", r=r, threshold=threshold)
     elif threshold is None:
         status = TraceStatus("bounded_by", bound=bound_M)
     else:
         status = TraceStatus("exhausted", r=max_r, threshold=threshold,
                              bound=bound_M)
     return ConvergenceTrace(
-        rs=np.asarray(rs, dtype=int), mus=np.asarray(mus),
+        rs=np.arange(1, r + 1), mus=np.asarray(run.values),
         envelope=envelope, factor_mus=diag.values, bound_M=bound_M,
-        status=status, schedule=sched, clamped_from=clamped_from,
+        status=status, schedule=sched, clamped_from=run.clamped_from,
         overflow_at=overflow_at)
 
 

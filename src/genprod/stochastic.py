@@ -25,11 +25,11 @@ from .norms import (
     L1,
     VectorNorm,
     as_matrix,
-    max_column_distance,
+    column_pair_distances,
     mean_zero_subspace,
     partial_norm,
 )
-from .products import MatrixSequence, ProductSchedule, stream_general_product
+from .products import MatrixSequence, ProductSchedule, _run_trace
 from .series import (
     ConditionVerdict,
     TailModel,
@@ -118,9 +118,14 @@ def ergodicity_coefficient_l1(A, validate: bool = True) -> float:
     support.
     """
     A = validate_stochastic(A) if validate else as_matrix(A)
-    if A.shape[0] <= 1:
-        return 0.0
-    return 0.5 * max_column_distance(A)[0]
+    return float(_coefficients(A[None])[0])
+
+
+def _coefficients(S: np.ndarray) -> np.ndarray:
+    """:func:`ergodicity_coefficient_l1` of each matrix of a stack S (m, n, n)."""
+    if S.shape[1] <= 1:
+        return np.zeros(S.shape[0])
+    return 0.5 * column_pair_distances(S).max(axis=1)
 
 
 def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
@@ -190,25 +195,27 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     of the product on the mean-zero hyperplane, so crossing the threshold
     means every difference of probability vectors has shrunk below it under
     this schedule's products.  Each factor is validated stochastic as it
-    enters its step.
+    enters its step.  Steps are measured in blocks, as in
+    :func:`genprod.products.monitor_convergence`, so a factor past the
+    crossing may be fetched but is never reported.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+
+    def measure(steps):
+        return _coefficients(np.stack([step.matrix for step in steps])), None
+
+    def enter(step):
+        validate_stochastic(step.factor)
+
     runs = []
     for sched in schedules:
-        rs, coeffs = [], []
-        crossed = None
-        for step in stream_general_product(seq, sched, max_r):
-            validate_stochastic(step.factor)
-            w = ergodicity_coefficient_l1(step.matrix, validate=False)
-            rs.append(step.r)
-            coeffs.append(w)
-            if w < threshold:
-                crossed = step.r
-                break
+        run = _run_trace(seq, sched, max_r, measure, threshold, limits=False,
+                         enter=enter)
+        crossed = len(run.values) if run.stop == "crossed" else None
         runs.append(ScheduleErgodicityResult(
-            schedule=sched, rs=np.asarray(rs, dtype=int),
-            coefficients=np.asarray(coeffs), crossed_at=crossed,
+            schedule=sched, rs=np.arange(1, len(run.values) + 1),
+            coefficients=np.asarray(run.values), crossed_at=crossed,
             status="converged_below" if crossed is not None else "exhausted"))
     return WeakErgodicityReport(threshold=threshold, max_r=max_r,
                                 runs=tuple(runs))

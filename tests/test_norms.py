@@ -18,6 +18,7 @@ from genprod.norms import (
     additive_norm,
     check_invariance,
     check_norm_axioms,
+    column_pair_distances,
     complementary_pair,
     fixed_point_space,
     is_mean_zero_subspace,
@@ -25,6 +26,7 @@ from genprod.norms import (
     mean_zero_subspace,
     numerical_rank,
     operator_norm,
+    operator_norms,
     partial_norm,
     range_complement,
     restrict,
@@ -110,9 +112,60 @@ def test_l2_vector_norm_scales(c):
                                [5.0 * c, 10.0 * c], rtol=1e-15)
 
 
+def test_l2_of_huge_entries_rescales_without_overflowing():
+    # squaring 1e200 overflows; the batch must rescale before it squares
+    x = 1e200 * np.ones(3)
+    with np.errstate(over="raise"):
+        assert vector_norm(x, L2) == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
+        X = np.stack([x, np.array([3.0, 4.0, 0.0]), 1e-200 * np.ones(3)], axis=1)
+        np.testing.assert_allclose(
+            L2.batch(X), [np.sqrt(3.0) * 1e200, 5.0, np.sqrt(3.0) * 1e-200],
+            rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Operator norms
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF, "weighted"],
+                         ids=["l1", "l2", "linf", "weighted_l1"])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_stacked_operator_norms_equal_single_calls(norm, cplx):
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        nrm = WeightedL1(rng.uniform(0.2, 3.0, n)) if norm == "weighted" else norm
+        for m in (1, 2, 7, 70):
+            S = rng.standard_normal((m, n, n))
+            if cplx:
+                S = S + 1j * rng.standard_normal((m, n, n))
+            S = S * 10.0 ** rng.choice([-250, -3, 0, 3, 250], size=(m, 1, 1))
+            S[0] = 0.0
+            single = [operator_norm(A, nrm) for A in S]
+            assert operator_norms(S, nrm).tolist() == single, (n, m)
+
+
+def test_stacked_norms_without_closed_form_call_operator_norm_per_matrix():
+    H = Subspace.span([1, 1, 0], [0, 0, 1])
+    nu = additive_norm(LINF, H, H.orthogonal_complement())
+    S = np.random.default_rng(5).standard_normal((3, 3, 3))
+    assert operator_norms(S, nu).tolist() == [operator_norm(A, nu) for A in S]
+    assert operator_norms(np.zeros((4, 0, 0)), L2).tolist() == [0.0] * 4
+
+
+def test_stacked_column_pair_distances_equal_single_calls():
+    rng = np.random.default_rng(22)
+    for n in range(2, 9):
+        S = rng.standard_normal((70, n, n)) * 10.0 ** rng.choice([-250, 0, 250],
+                                                                  size=(70, 1, 1))
+        S[0] = 0.0
+        D = column_pair_distances(S)
+        assert D.shape == (70, n * (n - 1) // 2)
+        assert D.max(axis=1).tolist() == [max_column_distance(A)[0] for A in S]
+        # pair order: np.triu_indices(n, 1)
+        j, l = np.triu_indices(n, 1)
+        np.testing.assert_allclose(D[1], np.abs(S[1][:, j] - S[1][:, l]).sum(axis=0),
+                                   rtol=1e-15, atol=0)
+
 
 def test_operator_norm_l1_closed_forms():
     assert operator_norm(np.eye(3), L1) == 1.0
@@ -195,6 +248,18 @@ def test_zero_and_full():
     assert Subspace.zero(3).dim == 0
     assert Subspace.full(3).dim == 3
     assert Subspace.full(3).contains([1, 2, 3])
+
+
+def test_contains_is_scale_free():
+    line = Subspace.span([1.0, 0.0])
+    plane = mean_zero_subspace(3)
+    for S, x, inside in ((line, [2.0, 0.0], True), (line, [0.0, 1.0], False),
+                         (line, [1.0, 1e-6], False), (plane, [1.0, -3.0, 2.0], True),
+                         (plane, [1.0, 1.0, 1.0], False)):
+        answers = {S.contains(c * np.asarray(x)) for c in 10.0 ** np.arange(-250, 251, 10)}
+        assert answers == {inside}, x
+    assert not line.contains([0.0, 1e-10])
+    assert line.contains([0.0, 0.0]) and Subspace.zero(2).contains([0.0, 0.0])
 
 
 def test_mean_zero_subspace_structure():

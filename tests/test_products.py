@@ -1,23 +1,31 @@
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from genprod.norms import InvarianceError, L1, L2, Subspace, mean_zero_subspace
+from genprod.norms import InvarianceError, L1, L2, LINF, Subspace, WeightedL1
+from genprod.norms import mean_zero_subspace, operator_norm
 from genprod.products import (
+    BLOCK_CAP,
     MatrixSequence,
     Ordering,
     Permutation,
     ProductSchedule,
+    SequenceExhaustedError,
     bound_from_condition_C,
     monitor_convergence,
     restrict_stream,
     stream_general_product,
 )
 from genprod.series import TailModel
-from genprod.stochastic import weak_ergodicity_experiment
+from genprod.stochastic import (
+    StochasticityError,
+    ergodicity_coefficient_l1,
+    weak_ergodicity_experiment,
+)
 
 from conftest import block_triangular_similarity
 
@@ -77,6 +85,17 @@ def test_block_shuffle_is_bounded_displacement_bijection():
         window = [p.index_at(i) for i in range(1, 121)]
         assert sorted(window) == list(range(1, 121))
         assert all(abs(window[i - 1] - i) < 6 for i in range(1, 121))
+
+
+def test_block_shuffle_index_at_matches_per_position_generator():
+    for seed in (0, 1, 7, 12345):
+        for block in range(1, 9):
+            p = Permutation("block_shuffle", block=block, seed=seed)
+            for pos in range(1, 201):
+                g, off = divmod(pos - 1, block)
+                want = g * block + int(
+                    np.random.default_rng([seed, g]).permutation(block)[off]) + 1
+                assert p.index_at(pos) == want
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +345,99 @@ def test_non_finite_product_or_norm_ends_trace_as_overflow(norm):
         trace = monitor_convergence(seq, ProductSchedule(), norm, None, 5)
     assert trace.overflow_at is not None
     assert trace.rs[-1] == trace.overflow_at
+
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF])
+@pytest.mark.parametrize("ordering", ["left", "right", "random"])
+@pytest.mark.parametrize("base", [10.0 * np.eye(2), 5.0 * np.ones((2, 2))])
+def test_overflowing_trace_stops_at_300_without_a_warning(norm, ordering, base):
+    # 10^300 first exceeds the limit in the last bit; for 5 * ones the entries
+    # stay below it one step longer, so a block runs on past the overflow
+    seq = MatrixSequence.constant(base)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        trace = monitor_convergence(seq, ProductSchedule(
+            ordering=Ordering(ordering, seed=1)), norm, None, 400)
+    assert trace.overflow_at == 300 and trace.rs[-1] == 300
+    assert trace.status.kind == "exhausted" and trace.status.r == 300
+
+
+def test_trace_crossing_before_a_short_list_ends_returns_the_crossing():
+    seq = MatrixSequence.from_list([0.5 * np.eye(2)] * 10)
+    trace = monitor_convergence(seq, ProductSchedule(), L1, 0.01, 50)
+    assert trace.crossed_at == 7 and trace.rs.tolist() == list(range(1, 8))
+    with pytest.raises(SequenceExhaustedError):
+        monitor_convergence(seq, ProductSchedule(), L1, 1e-8, 50)
+    stoch = MatrixSequence.from_list([np.array([[0.9, 0.2], [0.1, 0.8]])] * 10)
+    run = weak_ergodicity_experiment(stoch, [ProductSchedule()], 0.1, 50).runs[0]
+    assert run.crossed_at == 7
+    with pytest.raises(SequenceExhaustedError):
+        weak_ergodicity_experiment(stoch, [ProductSchedule()], 1e-8, 50)
+
+
+@pytest.mark.parametrize("bad_at,crossed", [(12, 9), (8, None)])
+def test_factor_past_the_crossing_is_never_rejected(bad_at, crossed):
+    # the coefficient is 0.7^r, first below 0.05 at r = 9; the block of
+    # steps 8..15 also pulls the non-stochastic factor at bad_at
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    bad = np.array([[0.9, 0.3], [0.1, 0.8]])
+    seq = MatrixSequence(n=2, rule=lambda i: bad if i == bad_at else good)
+    if crossed is None:
+        with pytest.raises(StochasticityError):
+            weak_ergodicity_experiment(seq, [ProductSchedule()], 0.05, 40)
+    else:
+        run = weak_ergodicity_experiment(seq, [ProductSchedule()], 0.05, 40).runs[0]
+        assert run.crossed_at == crossed
+
+
+@every_schedule
+def test_block_measured_traces_equal_step_by_step_values(ordering, permutation):
+    rng = np.random.default_rng(30)
+    stoch = [rng.dirichlet(np.ones(4), size=4).T for _ in range(6)]
+    # real factors and a complex one: blocks mix dtypes
+    mixed = stoch + [stoch[0] * np.exp(1j * rng.uniform(0, 6, (4, 4)))]
+    sched = _schedule(ordering, permutation, max_r=90)
+    for mats in (stoch, mixed):
+        seq = MatrixSequence.periodic(mats)
+        steps = list(stream_general_product(seq, sched, 90))
+        for norm in (L1, L2, LINF, WeightedL1(np.arange(1.0, 5.0))):
+            trace = monitor_convergence(seq, sched, norm, None, 90)
+            assert trace.mus.tolist() == [operator_norm(s.matrix, norm) for s in steps]
+            assert trace.factor_mus.tolist() == [operator_norm(s.factor, norm)
+                                                 for s in steps]
+    seq = MatrixSequence.periodic(stoch)
+    run = weak_ergodicity_experiment(seq, [sched], 1e-300, 90).runs[0]
+    # the columns of a long product can agree to the last bit: coefficient 0
+    want = [ergodicity_coefficient_l1(s.matrix)
+            for s in stream_general_product(seq, sched, 90)]
+    stop = next((r for r, w in enumerate(want, 1) if w < 1e-300), None)
+    assert run.crossed_at == stop
+    assert run.coefficients.tolist() == want[:stop]
+
+
+def _stopping_sequence(stop, A):
+    """Identity factors except A at index ``stop``, recording each index fetched."""
+    fetched = []
+
+    def rule(i):
+        fetched.append(i)
+        return A if i == stop else np.eye(2)
+
+    return MatrixSequence(n=2, rule=rule), fetched
+
+
+def test_rule_runs_at_most_block_cap_minus_one_positions_past_the_stop():
+    rank_one = np.array([[0.4, 0.4], [0.6, 0.6]])  # coefficient 0
+    for stop in range(1, 300, 7):
+        seq, fetched = _stopping_sequence(stop, 0.1 * np.eye(2))
+        trace = monitor_convergence(seq, ProductSchedule(), L1, 0.5, 1000)
+        assert trace.crossed_at == stop
+        assert stop <= max(fetched) <= stop + BLOCK_CAP - 1
+        seq, fetched = _stopping_sequence(stop, rank_one)
+        run = weak_ergodicity_experiment(seq, [ProductSchedule()], 0.5, 1000).runs[0]
+        assert run.crossed_at == stop
+        assert stop <= max(fetched) <= stop + BLOCK_CAP - 1
+    assert BLOCK_CAP == 64
 
 
 def test_trace_underflow_clamps():
