@@ -265,13 +265,11 @@ def subspace_from_config(cfg) -> Subspace:
 
 def tail_model_to_config(m: TailModel) -> dict:
     out = {"kind": m.kind}
-    if m.kind in ("finite_support", "periodic", "explicit_prefix"):
-        out["values"] = list(m.values)
     if m.kind == "p_series":
         out.update(amplitude=m.amplitude, exponent=m.exponent, side=m.side,
                    limit=m.limit)
-    if m.kind == "constant":
-        out["value"] = m.constant
+    else:
+        out["values"] = list(m.values)
     if m.kind == "explicit_prefix":
         out["tail"] = tail_model_to_config(m.tail) if m.tail else None
     return out

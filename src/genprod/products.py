@@ -67,14 +67,8 @@ class MatrixSequence:
 
     @classmethod
     def from_list(cls, mats: Sequence, name: str = "") -> "MatrixSequence":
-        mats = tuple(as_matrix(m) for m in mats)
-        if not mats:
-            raise ValueError("empty sequence")
+        mats = _frozen_factors(mats, "empty sequence")
         n = mats[0].shape[0]
-        for m in mats:
-            if m.shape[0] != n:
-                raise ValueError("all factors must share the sequence dimension")
-            m.setflags(write=False)
 
         def rule(i: int) -> np.ndarray:
             if i > len(mats):
@@ -87,13 +81,9 @@ class MatrixSequence:
 
     @classmethod
     def periodic(cls, mats: Sequence, name: str = "periodic") -> "MatrixSequence":
-        mats = tuple(as_matrix(m) for m in mats)
-        if not mats:
-            raise ValueError("periodic sequence needs at least one matrix")
-        for m in mats:
-            m.setflags(write=False)
-        n = mats[0].shape[0]
-        return cls(n=n, rule=lambda i: mats[(i - 1) % len(mats)], name=name)
+        mats = _frozen_factors(mats, "periodic sequence needs at least one matrix")
+        return cls(n=mats[0].shape[0], rule=lambda i: mats[(i - 1) % len(mats)],
+                   name=name)
 
     @classmethod
     def scaled(cls, base, scale: TailModel | Callable[[int], float],
@@ -103,6 +93,18 @@ class MatrixSequence:
         base.setflags(write=False)
         fn = scale.value if isinstance(scale, TailModel) else scale
         return cls(n=base.shape[0], rule=lambda i: float(fn(i)) * base, name=name)
+
+
+def _frozen_factors(mats: Sequence, empty_message: str) -> tuple:
+    """``mats`` validated, checked to share one dimension and made read-only."""
+    mats = tuple(as_matrix(m) for m in mats)
+    if not mats:
+        raise ValueError(empty_message)
+    for m in mats:
+        if m.shape[0] != mats[0].shape[0]:
+            raise ValueError("all factors must share the sequence dimension")
+        m.setflags(write=False)
+    return mats
 
 
 # ---------------------------------------------------------------------------

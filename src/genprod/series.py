@@ -47,12 +47,13 @@ class TailModel:
     """A declared infinite family of nonnegative norm values.
 
     kinds:
-      * ``finite_support``: explicit values for i <= N, exactly 1 afterwards;
       * ``p_series``: limit +/- amplitude / i**exponent (side "above"/"below");
-      * ``constant``: the same value c at every index;
       * ``periodic``: the given finite list repeated forever;
       * ``explicit_prefix``: explicit leading values, then a declared tail
         model (tail None makes convergence questions undecidable).
+
+    A constant family is a one-value ``periodic`` family, and a finitely
+    supported one is an ``explicit_prefix`` whose tail is the constant 1.
     """
 
     kind: str
@@ -61,12 +62,10 @@ class TailModel:
     exponent: float = 1.0
     side: str = "above"
     limit: float = 1.0
-    constant: float = 1.0
     tail: Optional["TailModel"] = None
 
     def __post_init__(self):
-        if self.kind not in ("finite_support", "p_series", "constant",
-                             "periodic", "explicit_prefix"):
+        if self.kind not in ("p_series", "periodic", "explicit_prefix"):
             raise ValueError(f"unknown tail family {self.kind!r}")
         if self.kind == "p_series":
             if self.side not in ("above", "below"):
@@ -75,8 +74,6 @@ class TailModel:
                 raise ValueError("p_series needs amplitude >= 0 and exponent > 0")
             if self.side == "below" and self.limit - self.amplitude < 0:
                 raise ValueError("first term of the family would be negative")
-        if self.kind == "constant" and self.constant < 0:
-            raise ValueError("constant value must be nonnegative")
         if self.kind == "periodic" and not self.values:
             raise ValueError("periodic family needs at least one value")
         if any(v < 0 for v in self.values):
@@ -86,7 +83,8 @@ class TailModel:
 
     @classmethod
     def finite_support(cls, values: Sequence[float]) -> "TailModel":
-        return cls("finite_support", values=tuple(float(v) for v in values))
+        """Explicit values for i <= len(values), exactly 1 afterwards."""
+        return cls.with_prefix(values, cls.periodic([1.0]))
 
     @classmethod
     def p_series(cls, amplitude: float, exponent: float, side: str = "above",
@@ -96,7 +94,7 @@ class TailModel:
 
     @classmethod
     def constant_value(cls, c: float) -> "TailModel":
-        return cls("constant", constant=float(c))
+        return cls.periodic([c])
 
     @classmethod
     def periodic(cls, values: Sequence[float]) -> "TailModel":
@@ -114,14 +112,10 @@ class TailModel:
         """The i-th norm value, 1-based."""
         if i < 1:
             raise ValueError("indices are 1-based")
-        if self.kind == "finite_support":
-            return self.values[i - 1] if i <= len(self.values) else 1.0
         if self.kind == "p_series":
             dev = self.amplitude / float(i) ** self.exponent
             v = self.limit + dev if self.side == "above" else self.limit - dev
             return max(v, 0.0)
-        if self.kind == "constant":
-            return self.constant
         if self.kind == "periodic":
             return self.values[(i - 1) % len(self.values)]
         if i <= len(self.values):
@@ -135,12 +129,8 @@ class TailModel:
 
     def sup_value(self) -> float:
         """Least upper bound of the family (exact for every kind)."""
-        if self.kind == "finite_support":
-            return max((*self.values, 1.0))
         if self.kind == "p_series":
             return self.value(1) if self.side == "above" else self.limit
-        if self.kind == "constant":
-            return self.constant
         if self.kind == "periodic":
             return max(self.values)
         tail_sup = self.tail.sup_value() if self.tail is not None else 0.0
@@ -148,12 +138,8 @@ class TailModel:
 
     def accumulation_points(self) -> tuple[float, ...] | None:
         """All limit points of the value sequence, or None when unknown."""
-        if self.kind == "finite_support":
-            return (1.0,)
         if self.kind == "p_series":
             return (self.limit,)
-        if self.kind == "constant":
-            return (self.constant,)
         if self.kind == "periodic":
             return tuple(sorted(set(self.values)))
         if self.tail is None:
@@ -163,19 +149,16 @@ class TailModel:
 
 def check_condition_C(model: TailModel) -> ConditionVerdict:
     """Does the above-1 excess series of the family converge?"""
-    if model.kind == "finite_support":
-        return ConditionVerdict.HOLDS
     if model.kind == "p_series":
         if model.limit > 1.0:
             return ConditionVerdict.FAILS
         if model.limit < 1.0:
             # Only finitely many terms exceed 1.
             return ConditionVerdict.HOLDS
-        if model.side == "below":
+        if model.side == "below" or model.amplitude == 0.0:
+            # No term exceeds 1 (amplitude 0 is the constant family 1).
             return ConditionVerdict.HOLDS
         return ConditionVerdict.HOLDS if model.exponent > 1.0 else ConditionVerdict.FAILS
-    if model.kind == "constant":
-        return ConditionVerdict.HOLDS if model.constant <= 1.0 else ConditionVerdict.FAILS
     if model.kind == "periodic":
         return ConditionVerdict.HOLDS if max(model.values) <= 1.0 else ConditionVerdict.FAILS
     if model.tail is None:
@@ -201,18 +184,15 @@ def check_condition_D(model: TailModel,
 
 
 def _condition_D_single(model: TailModel) -> ConditionVerdict:
-    if model.kind == "finite_support":
-        return ConditionVerdict.FAILS
     if model.kind == "p_series":
         if model.limit < 1.0:
             return ConditionVerdict.HOLDS
         if model.limit > 1.0:
             return ConditionVerdict.FAILS
-        if model.side == "above":
+        if model.side == "above" or model.amplitude == 0.0:
+            # No term falls below 1 (amplitude 0 is the constant family 1).
             return ConditionVerdict.FAILS
         return ConditionVerdict.HOLDS if model.exponent <= 1.0 else ConditionVerdict.FAILS
-    if model.kind == "constant":
-        return ConditionVerdict.HOLDS if model.constant < 1.0 else ConditionVerdict.FAILS
     if model.kind == "periodic":
         return ConditionVerdict.HOLDS if min(model.values) < 1.0 else ConditionVerdict.FAILS
     if model.tail is None:
@@ -247,13 +227,15 @@ def partial_sum_diagnostics(values: Sequence[float]) -> SeriesDiagnostics:
         raise ValueError("norm values must be nonnegative")
     plus = np.maximum(v, 1.0)
     minus = np.minimum(v, 1.0)
-    return SeriesDiagnostics(
-        values=v,
-        plus_sums=np.cumsum(plus - 1.0),
-        minus_sums=np.cumsum(1.0 - minus),
-        plus_products=np.cumprod(plus),
-        minus_products=np.cumprod(minus),
-    )
+    # A running product past the float range is unbounded: inf is its value.
+    with np.errstate(over="ignore"):
+        return SeriesDiagnostics(
+            values=v,
+            plus_sums=np.cumsum(plus - 1.0),
+            minus_sums=np.cumsum(1.0 - minus),
+            plus_products=np.cumprod(plus),
+            minus_products=np.cumprod(minus),
+        )
 
 
 def sinh_product_limit() -> float:

@@ -19,6 +19,7 @@ from .norms import (
     Subspace,
     VectorNorm,
     as_matrix,
+    complementary_pair,
     mean_zero_subspace,
     partial_norm,
     restrict,
@@ -103,19 +104,10 @@ def multiplicities(A, lam: complex,
 def eigenvalue_one_semisimple(A) -> bool:
     """Is every generalized eigenvector at eigenvalue 1 an eigenvector?
 
-    Decided by comparing the rank of (A - I) with the rank of its square,
-    which avoids a numerically fragile canonical-form computation.
+    Exactly when the fixed space of A and the range of (I - A) meet only at
+    0, which :func:`complementary_pair` decides from its SVD of (I - A).
     """
-    A = as_matrix(A)
-    M = A - np.eye(A.shape[0])
-
-    def rank(B):
-        s = np.linalg.svd(B, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > RANK_REL_TOL * s[0]))
-
-    return rank(M) == rank(M @ M)
+    return complementary_pair(A).complementary
 
 
 @dataclass(frozen=True)

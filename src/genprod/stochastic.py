@@ -303,8 +303,9 @@ def accumulation_corollary_check(family: TailModel,
         holds = max(acc) < 1.0
         chosen = max(acc) if holds else None
     if not holds:
-        if family.kind == "p_series" and family.limit == 1.0 and \
-                family.side == "below" and family.exponent <= 1.0:
+        # A p-series family's one accumulation point, its limit, is >= 1 here.
+        if family.kind == "p_series" and \
+                check_condition_D(family) == ConditionVerdict.HOLDS:
             notes.append("no accumulation point below 1, but the deficit "
                          "series of the full family still diverges")
         return AccumulationReport(variant, ConditionVerdict.FAILS, acc, None,

@@ -102,6 +102,39 @@ def test_ergodicity_rejects_bad_columns(tmp_path, capsys):
     assert err["error"]["detail"]["column"] == 1
 
 
+def test_ergodicity_zero_amplitude_deficit_family_fails_condition_D(tmp_path):
+    # every declared coefficient is exactly 1: the deficit series is 0, and
+    # the identity's own trace never crosses
+    cfg = write_config(tmp_path, "e.json", {
+        "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "schedules": [{}],
+        "threshold": 1e-8,
+        "max_r": 20,
+        "condition_C": {"kind": "constant", "value": 1.0},
+        "condition_D": {"kind": "p_series", "amplitude": 0.0,
+                        "exponent": 1.0, "side": "below"},
+    })
+    assert main(["ergodicity", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    results = read_report(tmp_path, "ergodicity")["results"]
+    assert results["runs"][0]["status"] == "exhausted"
+    assert results["conditions"]["condition_C"] == "holds"
+    assert results["conditions"]["condition_D"] == "fails"
+    assert results["conditions"]["verdict"] == "fails"
+
+
+def test_periodic_sequence_with_mixed_dimensions_exits_validation(tmp_path):
+    cfg = write_config(tmp_path, "e.json", {
+        "sequence": {"kind": "periodic",
+                     "matrices": [[[0.5, 0.5], [0.5, 0.5]], np.eye(3).tolist()]},
+        "schedules": [{}],
+        "threshold": 1e-8,
+        "max_r": 10,
+    })
+    assert main(["ergodicity", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------
@@ -240,6 +273,19 @@ def test_spectral_subcommand(tmp_path):
     assert rep["results"]["bounds"]["algebraic_bound"]["lhs"] == 1
     assert rep["results"]["high_modulus"]["decided"] is True
     assert rep["results"]["simple_one"]["passed"] is True
+
+
+def test_spectral_semisimplicity_of_a_matrix_scaled_past_1e155(tmp_path):
+    # 1 is not an eigenvalue, so it is trivially semisimple; squaring I - A
+    # would overflow at this scale
+    cfg = write_config(tmp_path, "s.json", {
+        "matrix": [[9e199, 2e199], [1e199, 8e199]],
+        "eigenvalue": 1.0,
+    })
+    assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    results = read_report(tmp_path, "spectral")["results"]
+    assert results["multiplicities"]["algebraic"] == 0
+    assert results["eigenvalue_one_semisimple"] is True
 
 
 def test_spectral_accepts_column_sum_drift_within_tolerance(tmp_path):

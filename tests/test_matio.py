@@ -90,6 +90,38 @@ def test_tail_model_round_trip(model):
     assert back == model
 
 
+@pytest.mark.parametrize("model", [
+    TailModel.p_series(1.0, 2.0, "above"),
+    TailModel.constant_value(0.7),
+    TailModel.finite_support([2.0, 0.1]),
+    TailModel.with_prefix([0.9], TailModel.finite_support([3.0])),
+    TailModel.with_prefix([0.9], None),
+])
+def test_tail_model_config_uses_only_the_three_kinds(model):
+    def kinds(cfg):
+        tail = cfg.get("tail")
+        return {cfg["kind"]} | (kinds(tail) if tail else set())
+
+    assert kinds(matio.tail_model_to_config(model)) <= {
+        "p_series", "periodic", "explicit_prefix"}
+
+
+@pytest.mark.parametrize("cfg,model", [
+    ({"kind": "constant", "value": 0.7}, TailModel.constant_value(0.7)),
+    ({"kind": "finite_support", "values": [2.0, 0.1]},
+     TailModel.finite_support([2.0, 0.1])),
+    ({"kind": "finite_support"}, TailModel.finite_support([])),
+    ({"kind": "p_series", "amplitude": 1.0, "exponent": 2.0},
+     TailModel.p_series(1.0, 2.0, "above")),
+    ({"kind": "periodic", "values": [1.0, 0.5]}, TailModel.periodic([1.0, 0.5])),
+    ({"kind": "explicit_prefix", "values": [0.9],
+      "tail": {"kind": "constant", "value": 0.5}},
+     TailModel.with_prefix([0.9], TailModel.constant_value(0.5))),
+])
+def test_tail_model_config_accepts_all_five_kind_names(cfg, model):
+    assert matio.tail_model_from_config(cfg) == model
+
+
 def test_schedule_round_trip():
     sched = ProductSchedule(
         p=3,

@@ -172,6 +172,11 @@ def test_from_list_rejects_mixed_dimensions_when_built():
         MatrixSequence.from_list([np.eye(2), np.eye(3)])
 
 
+def test_periodic_rejects_mixed_dimensions_when_built():
+    with pytest.raises(ValueError, match="dimension"):
+        MatrixSequence.periodic([np.eye(2), np.eye(3)])
+
+
 def test_commuting_diagonal_factors_are_order_independent():
     rng = np.random.default_rng(3)
     seq = MatrixSequence(n=3, rule=lambda i: np.diag(rng.uniform(0.5, 1.5, 3))
@@ -334,6 +339,16 @@ def test_trace_overflow_truncates():
     trace = monitor_convergence(seq, ProductSchedule(), L1, 1e-8, 400)
     assert trace.overflow_at is not None
     assert trace.rs[-1] == trace.overflow_at
+
+
+def test_envelope_past_the_float_range_is_inf_without_a_warning():
+    seq = MatrixSequence.constant([[3.0, 1e3], [0.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = monitor_convergence(seq, ProductSchedule(), L1, None, 400)
+        bound = bound_from_condition_C(seq, L1, 0, 400)
+    assert trace.bound_M == math.inf
+    assert bound[-1] == math.inf
 
 
 @pytest.mark.parametrize("norm", [L1, L2])

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from genprod.contraction import random_semisimple_nonexpansive
 from genprod.norms import L1, L2, Subspace, operator_norm
 from genprod.spectral import (
     HighModulusViolation,
@@ -66,6 +69,62 @@ def test_semisimple_rank_test():
     assert eigenvalue_one_semisimple(np.eye(3))
     assert eigenvalue_one_semisimple(RUNNING)
     assert not eigenvalue_one_semisimple(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-250, 1e155, 1e200, 1e300])
+@pytest.mark.parametrize("M", [JORDAN, RUNNING], ids=["jordan", "running"])
+def test_semisimple_under_scaling(M, c):
+    # scaled away from 1, eigenvalue 1 is absent and trivially semisimple
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalue_one_semisimple(c * M) is True
+
+
+def test_semisimple_when_eigenvalue_one_is_simple_but_slightly_off():
+    # column sums 1 + 5e-9, 1, 1: eigenvalue 1 + O(1e-9) is simple, as
+    # multiplicities reports; squaring I - A would push its singular value
+    # 1.9e-9 (relative) below 1e-9 and call it defective
+    A = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2 + 5e-9, 0.3, 0.5]])
+    rep = multiplicities(A, 1.0)
+    assert rep.algebraic == rep.geometric == 1
+    assert eigenvalue_one_semisimple(A) is True
+
+
+def _rank_square_semisimple(A):
+    """Reference decision: rank(A - I) == rank((A - I)^2) at 1e-9 relative."""
+    M = A - np.eye(A.shape[0])
+
+    def rank(B):
+        s = np.linalg.svd(B, compute_uv=False)
+        if s.size == 0 or s[0] == 0:
+            return 0
+        return int(np.sum(s > 1e-9 * s[0]))
+
+    return rank(M) == rank(M @ M)
+
+
+def _semisimplicity_cases(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 9):
+        yield rng.standard_normal((n, n))
+        yield random_stochastic(n, rng)
+        if n == 1:
+            continue
+        yield random_semisimple_nonexpansive(n, rng)[0]
+        # a Jordan block at eigenvalue 1, conjugated by a random similarity
+        J = np.diag(rng.uniform(-0.9, 0.9, n))
+        J[0, 0] = J[1, 1] = J[0, 1] = 1.0
+        S = rng.standard_normal((n, n)) + n * np.eye(n)
+        yield S @ J @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_semisimple_agrees_with_the_rank_of_the_square(seed):
+    for A in _semisimplicity_cases(seed):
+        assert eigenvalue_one_semisimple(A) == _rank_square_semisimple(A)
 
 
 def test_spectral_radius_below_operator_norm():

@@ -265,6 +265,15 @@ def test_accumulation_monotone_to_one_fails_but_conditions_can_hold():
     assert wkerg_condition_check(fam, fam).verdict == HOLDS
 
 
+def test_accumulation_zero_amplitude_family_gets_no_divergence_note():
+    # every value is exactly 1, so the deficit series is 0
+    fam = TailModel.p_series(0.0, 1.0, "below")
+    for variant in ("single_point", "all_points"):
+        rep = accumulation_corollary_check(fam, variant)
+        assert rep.verdict == FAILS and rep.notes == ()
+    assert wkerg_condition_check(fam, fam).verdict == FAILS
+
+
 def test_accumulation_needs_bounded_coefficients():
     fam = TailModel.periodic([1.2, 0.5])
     rep = accumulation_corollary_check(fam, "single_point")
