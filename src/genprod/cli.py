@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,6 +251,7 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genprod",

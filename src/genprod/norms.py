@@ -53,7 +53,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and promote a square matrix with finite entries."""
     A = np.asarray(a)
-    if not np.issubdtype(A.dtype, np.inexact):
+    if A.dtype.kind not in "fc":
         A = A.astype(float)
     elif A.dtype == np.float32:
         A = A.astype(np.float64)
@@ -61,7 +61,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         A = A.astype(np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
@@ -76,7 +76,7 @@ def _standard_normal(rng, shape, cplx: bool) -> np.ndarray:
 
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(x)
-    if not np.issubdtype(v.dtype, np.inexact):
+    if v.dtype.kind not in "fc":
         v = v.astype(float)
     v = v.reshape(-1)
     if n is not None and v.shape[0] != n:
@@ -102,15 +102,15 @@ class Subspace:
         B = np.asarray(self.basis)
         if B.ndim != 2:
             raise ValueError("subspace basis must be a 2-d array (n, d)")
-        if not np.issubdtype(B.dtype, np.inexact):
+        if B.dtype.kind not in "fc":
             B = B.astype(float)
         n, d = B.shape
         if d > n:
             raise ValueError(f"subspace dimension {d} exceeds ambient dimension {n}")
-        if d:
-            gram = B.conj().T @ B
-            if not np.allclose(gram, np.eye(d), atol=100 * INVARIANCE_TOL):
-                raise ValueError("subspace basis columns are not orthonormal")
+        # np.allclose(gram, I, atol=100 * INVARIANCE_TOL) without its overhead
+        eye = np.eye(d)
+        if not (np.abs(B.conj().T @ B - eye) <= 100 * INVARIANCE_TOL + 1e-5 * eye).all():
+            raise ValueError("subspace basis columns are not orthonormal")
         object.__setattr__(self, "basis", _readonly(B.copy()))
 
     @property
@@ -142,7 +142,7 @@ class Subspace:
     def from_spanning(cls, M) -> "Subspace":
         """Subspace spanned by the columns of M, via SVD with rank detection."""
         M = np.atleast_2d(np.asarray(M))
-        if not np.issubdtype(M.dtype, np.inexact):
+        if M.dtype.kind not in "fc":
             M = M.astype(float)
         if M.size == 0 or not np.any(M):
             return cls.zero(M.shape[0])

@@ -61,9 +61,7 @@ class MatrixSequence:
 
     @classmethod
     def constant(cls, A, name: str = "constant") -> "MatrixSequence":
-        A = as_matrix(A)
-        A.setflags(write=False)
-        return cls(n=A.shape[0], rule=lambda i: A, name=name)
+        return cls.periodic([A], name=name)
 
     @classmethod
     def from_list(cls, mats: Sequence, name: str = "") -> "MatrixSequence":
@@ -89,8 +87,7 @@ class MatrixSequence:
     def scaled(cls, base, scale: TailModel | Callable[[int], float],
                name: str = "scaled") -> "MatrixSequence":
         """Factors scale(i) * base; the scale is a tail model or a callable."""
-        base = as_matrix(base)
-        base.setflags(write=False)
+        base = _frozen_factors([base], "")[0]
         fn = scale.value if isinstance(scale, TailModel) else scale
         return cls(n=base.shape[0], rule=lambda i: float(fn(i)) * base, name=name)
 
@@ -316,7 +313,7 @@ class _Trace(NamedTuple):
 
 def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
                measure, threshold: float | None, *, limits: bool,
-               cap: int = BLOCK_CAP, enter=None) -> _Trace:
+               cap: int = BLOCK_CAP) -> _Trace:
     """The trace loop of :func:`monitor_convergence` and
     :func:`weak_ergodicity_experiment`.
 
@@ -329,9 +326,9 @@ def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
     as an overflow; a value below ``threshold`` stops it as a crossing.
 
     So the stream runs at most ``cap - 1`` steps past the step that stops
-    the trace.  ``enter(step)`` runs on each step as it is pulled.  An error
-    raised by it or by the stream ends the block, and is raised once the
-    steps before it are measured, unless one of them stopped the trace.
+    the trace.  An error raised by the stream (by a factor fetch, say) ends
+    the block, and is raised once the steps before it are measured, unless
+    one of them stopped the trace.
     With ``limits``, a product with an entry that is not at most
     OVERFLOW_LIMIT also ends its block, so no product past an overflow is
     multiplied out.
@@ -344,8 +341,6 @@ def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
         block, error = [], None
         try:
             for step in stream:
-                if enter is not None:
-                    enter(step)
                 block.append(step)
                 if len(block) == size or limits and not \
                         np.abs(step.matrix).max(initial=0.0) <= OVERFLOW_LIMIT:

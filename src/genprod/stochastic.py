@@ -205,13 +205,11 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     def measure(steps):
         return _coefficients(np.stack([step.matrix for step in steps])), None
 
-    def enter(step):
-        validate_stochastic(step.factor)
-
+    checked = MatrixSequence(seq.n, lambda i: validate_stochastic(seq.factor(i)),
+                             seq.name)
     runs = []
     for sched in schedules:
-        run = _run_trace(seq, sched, max_r, measure, threshold, limits=False,
-                         enter=enter)
+        run = _run_trace(checked, sched, max_r, measure, threshold, limits=False)
         crossed = len(run.values) if run.stop == "crossed" else None
         runs.append(ScheduleErgodicityResult(
             schedule=sched, rs=np.arange(1, len(run.values) + 1),
@@ -246,7 +244,7 @@ def wkerg_condition_check(coeff_model_C: TailModel,
     """
     notes = []
     c = check_condition_C(coeff_model_C)
-    if coeff_model_C.sup_value() <= 1.0 + 1e-12:
+    if c == ConditionVerdict.HOLDS and coeff_model_C.sup_value() <= 1.0:
         notes.append("above-1 excess condition automatic: declared "
                      "coefficients never exceed 1")
     d = check_condition_D(coeff_model_D)
@@ -293,7 +291,7 @@ def accumulation_corollary_check(family: TailModel,
                                   None, None, None,
                                   ("accumulation structure unknown",))
     if variant == "single_point":
-        if family.sup_value() > 1.0 + 1e-12:
+        if family.sup_value() > 1.0:
             return AccumulationReport(
                 variant, ConditionVerdict.FAILS, acc, None, None, None,
                 ("hypothesis violated: some declared coefficient exceeds 1",))

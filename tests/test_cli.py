@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -307,6 +308,26 @@ def test_trace_flags_rejected_where_nothing_reads_them(tmp_path, sub, flag):
         main([sub, "--config", str(cfg), "--out", str(tmp_path)] + flag)
     assert exc.value.code == EXIT_VALIDATION
     assert not (tmp_path / f"{sub}.json").exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    cfg = write_config(tmp_path, "c.json", {"matrix": RUNNING, "eigenvalue": 1.0})
+    for _ in range(2):
+        assert main(["spectral", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--config", str(cfg), "--no-such-flag"])
+    assert exc.value.code == EXIT_VALIDATION == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert parsers[2] is parsers[0]
 
 
 def test_invalid_config_json(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from genprod.norms import (
+    INVARIANCE_TOL,
     InvarianceError,
     L1,
     L2,
@@ -16,6 +17,7 @@ from genprod.norms import (
     WeightedL1,
     _probe_coords,
     additive_norm,
+    as_matrix,
     check_invariance,
     check_norm_axioms,
     column_pair_distances,
@@ -231,12 +233,101 @@ def test_operator_norm_consistency_sampled():
 
 
 # ---------------------------------------------------------------------------
+# Matrix validation
+# ---------------------------------------------------------------------------
+
+def _as_matrix_reference(a, name="matrix"):
+    """as_matrix as written with np.issubdtype and np.all, the reference."""
+    A = np.asarray(a)
+    if not np.issubdtype(A.dtype, np.inexact):
+        A = A.astype(float)
+    elif A.dtype == np.float32:
+        A = A.astype(np.float64)
+    elif A.dtype == np.complex64:
+        A = A.astype(np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    if A.size and not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
+_AS_MATRIX_INPUTS = [
+    np.eye(2, dtype=bool), np.arange(4, dtype=np.int8).reshape(2, 2),
+    np.arange(4).reshape(2, 2), np.arange(4, dtype=np.uint16).reshape(2, 2),
+    *(np.eye(3, dtype=t) for t in (np.float16, np.float32, np.float64,
+                                   np.longdouble, np.complex64, np.complex128,
+                                   np.clongdouble)),
+    np.array([[1, 2.5], [3, 4]], dtype=object),
+    np.array([[1.0, None], [0.0, 1.0]], dtype=object),
+    np.array([["1", "0.5"], ["0", "1e3"]]), np.array([["1", "x"], ["0", "1"]]),
+    [[1, 2], [3, 4]], [[1 + 2j, 0], [0, 1]], 3.0,
+    np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.zeros((0, 0)), np.zeros((0, 3)),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([[np.nan]], dtype=np.float32),
+    np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+    np.array([[1, 0], [0, np.inf]], dtype=np.float16),
+]
+
+
+@pytest.mark.parametrize("a", _AS_MATRIX_INPUTS, ids=lambda a: repr(np.asarray(a).dtype))
+def test_as_matrix_matches_its_reference(a):
+    outcomes = []
+    for f in (as_matrix, _as_matrix_reference):
+        try:
+            out = f(a, name="factor 3")
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((out.dtype, out.shape, out is a, out.tolist()))
+    assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
 # Subspaces
 # ---------------------------------------------------------------------------
 
 def test_subspace_requires_orthonormal_columns():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def _bases_at_the_orthonormality_thresholds():
+    """Bases whose Gram matrix sits just inside and just outside the
+    off-diagonal (1e-7) and diagonal (1e-7 + 1e-5) tolerances."""
+    atol = 100 * INVARIANCE_TOL
+    for t in (atol, -atol):
+        for x in (np.nextafter(t, 0), t, np.nextafter(t, 2 * t), 0.99 * t, 1.01 * t):
+            for dtype, step in ((float, x), (complex, 1j * x)):
+                B = np.eye(3, 2, dtype=dtype)
+                B[0, 1] = step
+                yield B
+    for t in (atol + 1e-5, -(atol + 1e-5)):
+        for k in range(-3, 4):
+            B = np.eye(3, 2)
+            B[0, 0] = np.sqrt(1.0 + t * (1 + k * 1e-9))
+            yield B
+    for bad in (np.nan, np.inf, -np.inf):
+        B = np.eye(3, 2)
+        B[1, 1] = bad
+        yield B
+    yield np.eye(3, 2, dtype=np.float32) + np.float32(2e-7) * np.ones((3, 2), np.float32)
+    yield np.zeros((3, 0))
+
+
+def test_subspace_accepts_exactly_the_bases_allclose_accepts():
+    answers = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for B in _bases_at_the_orthonormality_thresholds():
+            want = np.allclose(B.conj().T @ B, np.eye(B.shape[1]),
+                               atol=100 * INVARIANCE_TOL)
+            try:
+                Subspace(B)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, B
+            answers.add(got)
+    assert answers == {True, False}
 
 
 def test_span_drops_dependent_vectors():

@@ -177,6 +177,19 @@ def test_periodic_rejects_mixed_dimensions_when_built():
         MatrixSequence.periodic([np.eye(2), np.eye(3)])
 
 
+def test_constant_is_a_one_matrix_periodic_sequence():
+    A = np.array([[0.5, 0.25], [0.5, 0.75]])
+    const = MatrixSequence.constant(A, name="c")
+    per = MatrixSequence.periodic([A], name="c")
+    assert (const.n, const.name) == (per.n, per.name) == (2, "c")
+    assert MatrixSequence.constant(A).name == "constant"
+    for i in (1, 2, 7):
+        assert const.factor(i) is A and per.factor(i) is A
+    assert not A.flags.writeable  # the caller's float64 array is frozen
+    B = MatrixSequence.constant([[1, 2], [3, 4]]).factor(3)
+    assert B.dtype == np.float64 and not B.flags.writeable
+
+
 def test_commuting_diagonal_factors_are_order_independent():
     rng = np.random.default_rng(3)
     seq = MatrixSequence(n=3, rule=lambda i: np.diag(rng.uniform(0.5, 1.5, 3))
@@ -403,6 +416,35 @@ def test_factor_past_the_crossing_is_never_rejected(bad_at, crossed):
     else:
         run = weak_ergodicity_experiment(seq, [ProductSchedule()], 0.05, 40).runs[0]
         assert run.crossed_at == crossed
+
+
+@pytest.mark.parametrize("build", [MatrixSequence.periodic, MatrixSequence.from_list])
+def test_built_family_member_is_checked_stochastic_as_it_enters(build):
+    # as above: the coefficient first falls below 0.05 at r = 9, and the
+    # block of steps 8..15 pulls factor 12 too
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    bad = np.array([[0.9, 0.3], [0.1, 0.8]])
+    early = build([good] * 5 + [bad] + [good] * 20)
+    with pytest.raises(StochasticityError) as exc:
+        weak_ergodicity_experiment(early, [ProductSchedule()], 0.05, 20)
+    assert exc.value.column == 1 and "column 1" in str(exc.value)
+    late = build([good] * 11 + [bad] + [good] * 20)
+    run = weak_ergodicity_experiment(late, [ProductSchedule()], 0.05, 20).runs[0]
+    assert run.crossed_at == 9
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[np.nan, 0.5], [0.5, 0.5]]), "factor 3 contains non-finite entries"),
+    (np.ones((3, 3)), "factor 3 has dimension 3, expected 2")])
+def test_invalid_rule_factor_is_named_before_any_stochastic_check(bad, message):
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    seq = MatrixSequence(n=2, rule=lambda i: bad if i == 3 else good)
+    with pytest.raises(ValueError) as exc:
+        weak_ergodicity_experiment(seq, [ProductSchedule()], 1e-8, 10)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        monitor_convergence(seq, ProductSchedule(), L1, 1e-8, 10)
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 @every_schedule

@@ -5,7 +5,7 @@ from genprod.contraction import Verdict, check_paracontracting
 from genprod.norms import L1, L2, operator_norm, partial_norm
 from genprod.norms import mean_zero_subspace as ergodicity_subspace
 from genprod.products import MatrixSequence, Ordering, Permutation, ProductSchedule
-from genprod.series import ConditionVerdict, TailModel
+from genprod.series import ConditionVerdict, TailModel, check_condition_C
 from genprod.spectral import stochastic_simple_one
 from genprod.stochastic import (
     StochasticityError,
@@ -279,6 +279,31 @@ def test_accumulation_needs_bounded_coefficients():
     rep = accumulation_corollary_check(fam, "single_point")
     assert rep.verdict == FAILS
     assert any("exceeds 1" in n for n in rep.notes)
+
+
+def test_accumulation_rejects_coefficient_just_above_one():
+    # condition C is exact, so its embedded check would fail on 1 + 1e-13
+    fam = TailModel.periodic([1.0 + 1e-13, 0.5])
+    assert check_condition_C(fam) == FAILS
+    rep = accumulation_corollary_check(fam, "single_point")
+    assert rep.verdict == FAILS and rep.wkerg is None
+    assert any("exceeds 1" in n for n in rep.notes)
+
+
+def test_wkerg_automatic_note_only_when_condition_C_holds():
+    v = wkerg_condition_check(TailModel.constant_value(1.0 + 1e-13),
+                              TailModel.constant_value(0.5))
+    assert v.condition_C == FAILS
+    assert not any("automatic" in n for n in v.notes)
+    # an unknown tail leaves condition C undecidable, however small the prefix
+    v = wkerg_condition_check(TailModel.with_prefix([0.5], None),
+                              TailModel.constant_value(0.5))
+    assert v.condition_C == ConditionVerdict.UNDECIDABLE
+    assert not any("automatic" in n for n in v.notes)
+    v = wkerg_condition_check(TailModel.constant_value(1.0),
+                              TailModel.constant_value(0.5))
+    assert v.condition_C == HOLDS
+    assert any("automatic" in n for n in v.notes)
 
 
 def test_accumulation_undecidable_without_tail():
