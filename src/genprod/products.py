@@ -66,22 +66,12 @@ class MatrixSequence:
     @classmethod
     def from_list(cls, mats: Sequence, name: str = "") -> "MatrixSequence":
         mats = _frozen_factors(mats, "empty sequence")
-        n = mats[0].shape[0]
-
-        def rule(i: int) -> np.ndarray:
-            if i > len(mats):
-                raise SequenceExhaustedError(
-                    f"sequence {name or '<explicit>'} has only {len(mats)} "
-                    f"factors, index {i} requested")
-            return mats[i - 1]
-
-        return cls(n=n, rule=rule, name=name)
+        return cls(n=mats[0].shape[0], rule=_Family(mats, False, name), name=name)
 
     @classmethod
     def periodic(cls, mats: Sequence, name: str = "periodic") -> "MatrixSequence":
         mats = _frozen_factors(mats, "periodic sequence needs at least one matrix")
-        return cls(n=mats[0].shape[0], rule=lambda i: mats[(i - 1) % len(mats)],
-                   name=name)
+        return cls(n=mats[0].shape[0], rule=_Family(mats, True, name), name=name)
 
     @classmethod
     def scaled(cls, base, scale: TailModel | Callable[[int], float],
@@ -102,6 +92,21 @@ def _frozen_factors(mats: Sequence, empty_message: str) -> tuple:
             raise ValueError("all factors must share the sequence dimension")
         m.setflags(write=False)
     return mats
+
+
+class _Family(NamedTuple):
+    """A built family's rule: its frozen members, cycled or listed once."""
+
+    mats: tuple
+    cyclic: bool
+    name: str
+
+    def __call__(self, i: int) -> np.ndarray:
+        if not self.cyclic and i > len(self.mats):
+            raise SequenceExhaustedError(
+                f"sequence {self.name or '<explicit>'} has only {len(self.mats)} "
+                f"factors, index {i} requested")
+        return self.mats[(i - 1) % len(self.mats)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,47 +246,118 @@ def stream_general_product(seq: MatrixSequence, sched: ProductSchedule,
     Step r fetches one new factor, the one at position p + r.  Nested
     policies (left/right) cost one multiplication per step; the re-ordering
     policies keep every factor fetched so far and recompute the full r-fold
-    product each step.  At every step the factor multiset is positions
-    p+1..p+r of the permuted sequence, whatever the ordering.
+    product each step, as a pairwise tree of O(log r) stacked
+    multiplications.  At every step the factor multiset is positions
+    p+1..p+r of the permuted sequence, whatever the ordering.  The traces
+    share this product routine, :func:`_product_blocks`.
+    """
+    r, p, kind = 0, sched.p, sched.ordering.kind
+    for P, B, gathers in _product_blocks(seq, sched, max_r, cap=1):
+        r += 1
+        positions = (range(p + 1, p + r + 1) if kind == "left" else
+                     range(p + r, p, -1) if kind == "right" else
+                     tuple((gathers[0] + p + 1).tolist()))
+        yield ProductStep(r, P[0], B[0], positions, sched.permutation)
+
+
+def _gather(ordering: Ordering, p: int, r: int) -> np.ndarray:
+    """A re-ordered step r's positions in product order, as offsets from p + 1."""
+    if ordering.kind == "random":
+        return np.random.default_rng([ordering.seed, r]).permutation(r)
+    positions = ordering.orders[r - 1]
+    want = set(range(p + 1, p + r + 1))
+    if set(positions) != want or len(positions) != r:
+        raise ValueError(
+            f"explicit order for step {r} must be a permutation of "
+            f"positions {sorted(want)}, got {positions}")
+    return np.subtract(positions, p + 1)
+
+
+def _tree_product(X: np.ndarray) -> np.ndarray:
+    """X[0] @ X[1] @ ... @ X[-1] by pairwise reduction: O(log len(X)) calls."""
+    while len(X) > 1:
+        m = len(X) & ~1
+        Y = X[0:m:2] @ X[1:m:2]
+        X = np.concatenate([Y, X[m:]]) if m < len(X) else Y
+    return X[0]
+
+
+def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
+                    cap: int, check=None) -> Iterator[tuple]:
+    """The products of :func:`stream_general_product` in blocks of 1, 2, 4,
+    ... up to ``cap`` steps, as (P, B, gathers): the products and the
+    entering factors, both (k, n, n), and each re-ordered step's
+    :func:`_gather`.  A nested step is one multiplication, a re-ordered one a
+    :func:`_tree_product` over the factors fetched so far, both with numpy's
+    overflow warnings off: an overflow shows as inf or NaN in P.
+
+    A rule sequence's factors are fetched in step order by ``seq.factor``,
+    then ``check[0]`` if given.  A built family's members get one stacked
+    finiteness test, and the mask ``check[1]`` if given, per block; a member
+    that fails is fetched and checked alone, which raises its error.  The
+    first step that fails ends its block: the steps before it are yielded,
+    then the error is raised.  A block of mixed dtypes is yielded one step at
+    a time.
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    ordering, p = sched.ordering, sched.p
+    ordering, p, perm = sched.ordering, sched.p, sched.permutation
     if ordering.kind == "explicit" and len(ordering.orders) < max_r:
         raise ValueError(
             f"explicit ordering lists {len(ordering.orders)} steps, "
             f"max_r={max_r} requested")
-    cache: dict[int, np.ndarray] = {}
-    C = None
-    for r in range(1, max_r + 1):
-        if ordering.kind == "left":
-            positions = range(p + 1, p + r + 1)
-        elif ordering.kind == "right":
-            positions = range(p + r, p, -1)
-        elif ordering.kind == "random":
-            rng = np.random.default_rng([ordering.seed, r])
-            positions = tuple(p + 1 + int(i) for i in rng.permutation(r))
-        else:
-            positions = ordering.orders[r - 1]
-            want = set(range(p + 1, p + r + 1))
-            if set(positions) != want or len(positions) != r:
-                raise ValueError(
-                    f"explicit order for step {r} must be a permutation of "
-                    f"positions {sorted(want)}, got {positions}")
-        B = seq.factor(sched.permutation.index_at(p + r))
-        if not ordering.incremental:
-            cache[p + r] = B
-            C = cache[positions[0]].copy()
-            for pos in positions[1:]:
-                C = C @ cache[pos]
-        elif C is None:
-            C = B.copy()
-        elif ordering.kind == "left":
-            C = C @ B
-        else:
-            C = B @ C
-        C.setflags(write=False)  # yielded array doubles as running state
-        yield ProductStep(r, C, B, positions, sched.permutation)
+    family = seq.rule if isinstance(seq.rule, _Family) else None
+
+    def fetch(i):
+        return seq.factor(i) if check is None else check[0](seq.factor(i))
+
+    get, left = fetch if family is None else family, ordering.kind == "left"
+    r, size, C, F = 0, 1, None, None
+    while r < max_r:
+        mats, gathers, idxs, error = [], [], [], None
+        try:
+            for s in range(r + 1, min(r + size, max_r) + 1):
+                if not ordering.incremental:
+                    gathers.append(_gather(ordering, p, s))
+                idxs.append(perm.index_at(p + s))
+                mats.append(get(idxs[-1]))
+        except Exception as exc:
+            error = exc
+        if not mats:
+            raise error
+        B = np.stack(mats) if len(mats) > 1 else mats[0][None]
+        if family is not None:
+            ok = np.isfinite(B).all(axis=(1, 2))
+            if check is not None:
+                ok &= check[1](B)
+            for j in np.flatnonzero(~ok):
+                try:
+                    fetch(idxs[j])
+                except Exception as exc:
+                    del mats[j:]
+                    B, error = B[:j], exc
+                    break
+        del gathers[len(mats):]
+        mixed = any(A.dtype != B.dtype for A in mats)
+        for lo in range(0, len(mats), 1 if mixed else len(mats) or 1):
+            hi = lo + 1 if mixed else len(mats)
+            Bg, g = (mats[lo][None] if mixed else B), gathers[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if ordering.incremental:
+                    prods = []
+                    for A in mats[lo:hi]:
+                        C = A if C is None else C @ A if left else A @ C
+                        prods.append(C)
+                else:
+                    F = Bg if F is None else np.concatenate([F, Bg])
+                    prods = [_tree_product(F[offsets]) for offsets in g]
+            P = np.stack(prods)
+            P.setflags(write=False)  # a streamed step's matrix is read-only
+            yield P, Bg, g
+            r += hi - lo
+        if error is not None:
+            raise error
+        size = min(2 * size, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +377,11 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     factors = [seq.factor(permutation.index_at(p + i)) for i in range(1, r_max + 1)]
-    return partial_sum_diagnostics(_block_norms(factors, norm)).plus_products
+    if any(A.dtype != factors[0].dtype for A in factors):
+        mus = np.concatenate([_block_norms(A[None], norm) for A in factors])
+    else:
+        mus = _block_norms(np.stack(factors), norm)
+    return partial_sum_diagnostics(mus).plus_products
 
 
 class _Trace(NamedTuple):
@@ -313,74 +393,51 @@ class _Trace(NamedTuple):
 
 def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
                measure, threshold: float | None, *, limits: bool,
-               cap: int = BLOCK_CAP) -> _Trace:
+               cap: int = BLOCK_CAP, check=None) -> _Trace:
     """The trace loop of :func:`monitor_convergence` and
     :func:`weak_ergodicity_experiment`.
 
-    Steps are pulled from :func:`stream_general_product` in blocks of 1, 2,
-    4, ... up to ``cap`` steps, and ``measure(steps)`` gives the value of
-    every step of a block, and a second value per step or None, in one call.
-    The rules then apply to the values in step order: with ``limits``, a
-    value below UNDERFLOW_CLAMP is raised to it (the first such step is
-    recorded) and a value that is not at most OVERFLOW_LIMIT stops the trace
-    as an overflow; a value below ``threshold`` stops it as a crossing.
-
-    So the stream runs at most ``cap - 1`` steps past the step that stops
-    the trace.  An error raised by the stream (by a factor fetch, say) ends
-    the block, and is raised once the steps before it are measured, unless
-    one of them stopped the trace.
-    With ``limits``, a product with an entry that is not at most
-    OVERFLOW_LIMIT also ends its block, so no product past an overflow is
-    multiplied out.
+    For each block of :func:`_product_blocks` (``cap``, ``check``),
+    ``measure(P, B)`` gives every step's value, and a second value per step
+    or None.  The rules then apply in step order: with ``limits``, a value
+    below UNDERFLOW_CLAMP is raised to it (the first such step is recorded)
+    and one not at most OVERFLOW_LIMIT stops the trace as an overflow; a
+    value below ``threshold`` stops it as a crossing.  So the sequence is
+    read at most ``cap - 1`` steps past the stop, and a step's error is
+    raised only if no step before it stopped the trace.  With ``limits``, a
+    product with an entry not at most OVERFLOW_LIMIT (one scan per block)
+    ends the part of its block that is measured with it.
     """
-    stream = stream_general_product(seq, sched, max_r)
     values, factor_values = [], []
     clamped_from = None
-    size = 1
-    while len(values) < max_r:
-        block, error = [], None
-        try:
-            for step in stream:
-                block.append(step)
-                if len(block) == size or limits and not \
-                        np.abs(step.matrix).max(initial=0.0) <= OVERFLOW_LIMIT:
-                    break
-        except Exception as exc:
-            error = exc
-        if block:
-            vals, fvals = measure(block)
-            for k, v in enumerate(vals.tolist()):
-                r = len(values) + 1
-                if limits and v < UNDERFLOW_CLAMP:
-                    v = UNDERFLOW_CLAMP
-                    if clamped_from is None:
-                        clamped_from = r
-                values.append(v)
-                if fvals is not None:
-                    factor_values.append(fvals[k])
-                if limits and not v <= OVERFLOW_LIMIT:
-                    return _Trace(values, factor_values, "overflow", clamped_from)
-                if threshold is not None and v < threshold:
-                    return _Trace(values, factor_values, "crossed", clamped_from)
-        if error is not None:
-            raise error
-        size = min(2 * size, cap)
+    for P, B, _ in _product_blocks(seq, sched, max_r, cap, check):
+        big = np.abs(P[:-1]).max(axis=(1, 2), initial=0.0) if limits else np.zeros(0)
+        cuts = (np.flatnonzero(~(big <= OVERFLOW_LIMIT)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(P)]):
+            vals, fvals = measure(P[lo:hi], B[lo:hi])
+            low = (vals < UNDERFLOW_CLAMP) & limits
+            vals = np.where(low, UNDERFLOW_CLAMP, vals)
+            over = ~(vals <= OVERFLOW_LIMIT) & limits
+            stops = np.flatnonzero(over | (vals < (-np.inf if threshold is None
+                                                   else threshold)))
+            k = stops[0] + 1 if stops.size else len(vals)
+            if clamped_from is None and low[:k].any():
+                clamped_from = len(values) + int(low.argmax()) + 1
+            values += vals[:k].tolist()
+            if fvals is not None:
+                factor_values += fvals[:k].tolist()
+            if stops.size:
+                return _Trace(values, factor_values,
+                              "overflow" if over[stops[0]] else "crossed", clamped_from)
     return _Trace(values, factor_values, None, clamped_from)
 
 
-def _block_norms(mats: list, norm: VectorNorm) -> np.ndarray:
-    """Operator norm of each matrix of a block; inf for a matrix with a
-    non-finite entry.
-
-    One stacked call when the block shares one dtype; a block that mixes
-    real and complex matrices is measured one matrix at a time, so every
-    value is the one :func:`operator_norm` gives.
-    """
-    if any(M.dtype != mats[0].dtype for M in mats):
-        return np.concatenate([_block_norms([M], norm) for M in mats])
-    S = np.stack(mats)
+def _block_norms(S: np.ndarray, norm: VectorNorm) -> np.ndarray:
+    """Operator norm of each matrix of a stack S (m, n, n), as
+    :func:`operator_norm` gives it; inf for a matrix with a non-finite
+    entry."""
     finite = np.isfinite(S).all(axis=(1, 2))
-    out = np.full(len(mats), np.inf)
+    out = np.full(len(S), np.inf)
     out[finite] = operator_norms(S[finite], norm)
     return out
 
@@ -438,12 +495,10 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     if threshold is not None and threshold <= 0:
         raise ValueError("threshold must be positive")
 
-    def measure(steps):
-        return (_block_norms([step.matrix for step in steps], norm),
-                _block_norms([step.factor for step in steps], norm))
-
     # A sampled norm is measured one step at a time: none is spent past the stop.
-    run = _run_trace(seq, sched, max_r, measure, threshold, limits=True,
+    run = _run_trace(seq, sched, max_r,
+                     lambda P, B: (_block_norms(P, norm), _block_norms(B, norm)),
+                     threshold, limits=True,
                      cap=BLOCK_CAP if has_closed_form(norm) else 1)
     diag = partial_sum_diagnostics(run.factor_values)
     bound_M = float(diag.plus_products[-1])

@@ -67,6 +67,14 @@ def validate_stochastic(A, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     return A
 
 
+def _stochastic_mask(S: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
+    """Which matrices of a finite stack S (m, n, n) :func:`validate_stochastic`
+    accepts, by the same tests."""
+    if np.iscomplexobj(S):
+        return np.zeros(len(S), dtype=bool)
+    return ~((S.min(axis=1) < -tol) | (np.abs(S.sum(axis=1) - 1.0) > tol)).any(axis=1)
+
+
 def is_stochastic(A) -> bool:
     try:
         validate_stochastic(A)
@@ -202,14 +210,11 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     if threshold <= 0:
         raise ValueError("threshold must be positive")
 
-    def measure(steps):
-        return _coefficients(np.stack([step.matrix for step in steps])), None
-
-    checked = MatrixSequence(seq.n, lambda i: validate_stochastic(seq.factor(i)),
-                             seq.name)
     runs = []
     for sched in schedules:
-        run = _run_trace(checked, sched, max_r, measure, threshold, limits=False)
+        run = _run_trace(seq, sched, max_r, lambda P, B: (_coefficients(P), None),
+                         threshold, limits=False,
+                         check=(validate_stochastic, _stochastic_mask))
         crossed = len(run.values) if run.stop == "crossed" else None
         runs.append(ScheduleErgodicityResult(
             schedule=sched, rs=np.arange(1, len(run.values) + 1),

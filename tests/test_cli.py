@@ -490,3 +490,16 @@ def test_ergodicity_repair_option(tmp_path):
     })
     assert main(["ergodicity", "--config", str(cfg2),
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_overflowing_product_run_prints_no_numpy_warning(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {
+        "sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+        "schedules": [{"p": 0}], "norm": {"kind": "l2"}, "max_r": 5,
+    })
+    assert main(["product", "--config", str(cfg), "--out", str(tmp_path)]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"]["type"] \
+        == "NumericalFailure"

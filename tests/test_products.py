@@ -579,3 +579,110 @@ def test_complex_sequence_streams_and_bounds():
     trace = monitor_convergence(seq, ProductSchedule(), L1, None, 30)
     assert np.iscomplexobj(seq.factor(1))
     assert np.all(trace.mus <= trace.envelope + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Block-formed products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("norm", [L1, L2])
+def test_overflowing_product_returns_an_overflow_trace_without_a_warning(norm):
+    # (1e160)^2 overflows in the multiplication itself
+    seq = MatrixSequence.constant(1e160 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = monitor_convergence(seq, ProductSchedule(), norm, None, 5)
+    assert trace.overflow_at == 2 and trace.rs.tolist() == [1, 2]
+    assert trace.mus[0] == 1e160 and trace.mus[1] == math.inf
+
+
+def _loop_product(mats):
+    C = mats[0]
+    for A in mats[1:]:
+        C = C @ A
+    return C
+
+
+@pytest.mark.parametrize("ordering", ["random", "explicit"])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_reordered_tree_product_matches_the_left_to_right_loop(ordering, cplx):
+    # both associations are within (r - 1) n u |A_1| ... |A_r| of the exact
+    # product, entrywise, so they differ by at most twice that
+    eps = np.finfo(float).eps
+    for n in range(1, 9):
+        rng = np.random.default_rng(n)
+        max_r = 200 if n in (1, 4, 8) else 60
+        mats = []
+        for _ in range(max_r):
+            A = rng.standard_normal((n, n))
+            if cplx:
+                A = A + 1j * rng.standard_normal((n, n))
+            mats.append(A / np.abs(A).sum(axis=0).max())
+        seq = MatrixSequence.from_list(mats)
+        sched = _schedule(ordering, "identity", p=0, max_r=max_r)
+        for step in stream_general_product(seq, sched, max_r):
+            factors = [mats[q - 1] for q in step.positions]
+            scale = _loop_product([np.abs(A) for A in factors])
+            diff = np.abs(step.matrix - _loop_product(factors))
+            assert np.all(diff <= 4 * step.r * n * eps * scale)
+
+
+@pytest.mark.parametrize("ordering", ["left", "right"])
+@pytest.mark.parametrize("permutation", ["identity", "block_shuffle"])
+def test_nested_stream_and_traces_equal_the_plain_loop_bit_for_bit(ordering,
+                                                                   permutation):
+    rng = np.random.default_rng(31)
+    mats = [rng.dirichlet(np.ones(5), size=5).T for _ in range(7)]
+    seq = MatrixSequence.periodic(mats)
+    sched = _schedule(ordering, permutation, max_r=150)
+    C, want = None, []
+    for r in range(1, 151):
+        A = mats[(sched.permutation.index_at(sched.p + r) - 1) % 7]
+        C = A if C is None else (C @ A if ordering == "left" else A @ C)
+        want.append(C)
+    steps = list(stream_general_product(seq, sched, 150))
+    assert all(np.array_equal(s.matrix, W) for s, W in zip(steps, want))
+    for norm in (L1, L2, LINF):
+        trace = monitor_convergence(seq, sched, norm, None, 150)
+        assert trace.mus.tolist() == [operator_norm(W, norm) for W in want]
+    run = weak_ergodicity_experiment(seq, [sched], 1e-300, 150).runs[0]
+    coefficients = [ergodicity_coefficient_l1(W) for W in want]
+    assert run.coefficients.tolist() == coefficients[:len(run.coefficients)]
+
+
+@pytest.mark.parametrize("build", [MatrixSequence.periodic, MatrixSequence.from_list])
+def test_member_unfrozen_and_made_non_finite_after_building_is_rejected(build):
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    member = good.copy()
+    seq = build([good, good, member] + [good] * 80)
+    member.setflags(write=True)
+    member[0, 1] = np.nan
+    for ordering in ("left", "random"):
+        sched = ProductSchedule(ordering=Ordering(ordering, seed=1))
+        with pytest.raises(ValueError) as exc:
+            monitor_convergence(seq, sched, L1, None, 20)
+        assert str(exc.value) == "factor 3 contains non-finite entries"
+        with pytest.raises(ValueError) as exc:
+            weak_ergodicity_experiment(seq, [sched], 1e-12, 20)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "factor 3 contains non-finite entries"
+    # a crossing at step 2 comes before the member enters
+    run = weak_ergodicity_experiment(seq, [ProductSchedule()], 0.5, 20).runs[0]
+    assert run.crossed_at == 2
+
+
+@pytest.mark.parametrize("build", [MatrixSequence.periodic, MatrixSequence.from_list])
+@pytest.mark.parametrize("at", [1, 2, 4, 64, 65])
+def test_non_stochastic_family_member_raises_at_its_own_step(build, at):
+    # the coefficient is 0.7^r; blocks start at steps 1, 2, 4, 8, ..., 64, 128
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    bad = np.array([[0.9, 0.3], [0.1, 0.8]])
+    seq = build([good] * (at - 1) + [bad] + [good] * 150)
+    with pytest.raises(StochasticityError) as exc:
+        weak_ergodicity_experiment(seq, [ProductSchedule()], 1e-300, 200)
+    assert exc.value.column == 1 and "column 1 sums to 1.1" in str(exc.value)
+    if at > 1:
+        threshold = 1.01 * 0.7 ** (at - 1)
+        run = weak_ergodicity_experiment(seq, [ProductSchedule()], threshold,
+                                         200).runs[0]
+        assert run.crossed_at == at - 1
