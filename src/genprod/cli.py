@@ -147,7 +147,7 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
     overflowed = False
     for i, sched in enumerate(scheds):
         trace = products.monitor_convergence(seq, sched, norm, threshold, max_r)
-        name = f"{sched.label or 'schedule'}-{i}"
+        name = f"{sched.label}-{i}"
         traces[name] = {
             "columns": ["r", "mu", "envelope"],
             "rows": _trace_rows(trace.rs.tolist(), trace.mus.tolist(),
@@ -182,7 +182,7 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
     report = stochastic.weak_ergodicity_experiment(seq, scheds, threshold, max_r)
     results, traces = {"threshold": threshold, "runs": []}, {}
     for i, run in enumerate(report.runs):
-        name = f"{run.schedule.label or 'schedule'}-{i}"
+        name = f"{run.schedule.label}-{i}"
         traces[name] = {
             "columns": ["r", "omega"],
             "rows": _trace_rows(run.rs.tolist(),

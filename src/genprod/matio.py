@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import enum
 import io
 import json
 import math
@@ -158,10 +157,11 @@ def matrix_from_config(obj, base_dir: Path | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def to_jsonable(obj: Any) -> Any:
-    """Dataclasses, arrays, enums, and numpy scalars to plain JSON values.
+    """Dataclasses, arrays, containers and numpy scalars to plain JSON values.
 
     Non-finite floats become the strings "inf", "-inf" and "nan", so the
-    result serializes as strict JSON.
+    result serializes as strict JSON.  The verdict enums are str enums and
+    pass through as strings; a NamedTuple is a tuple and becomes a list.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -171,8 +171,6 @@ def to_jsonable(obj: Any) -> Any:
         return to_jsonable(obj.item())
     if isinstance(obj, complex):
         return [_json_float(obj.real), _json_float(obj.imag)]
-    if isinstance(obj, enum.Enum):
-        return obj.value
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2:
             return matrix_to_jsonable(obj)
@@ -191,8 +189,6 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "_asdict"):  # NamedTuple
-        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     return str(obj)
 
 

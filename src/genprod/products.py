@@ -384,52 +384,33 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     return partial_sum_diagnostics(mus).plus_products
 
 
-class _Trace(NamedTuple):
-    values: list            # one value per step, clamped with ``limits``
-    factor_values: list     # the measure's second value per step
-    stop: str | None        # "overflow", "crossed" or None
-    clamped_from: int | None
-
-
 def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
-               measure, threshold: float | None, *, limits: bool,
-               cap: int = BLOCK_CAP, check=None) -> _Trace:
+               measure, *, cap: int = BLOCK_CAP, check=None) -> tuple:
     """The trace loop of :func:`monitor_convergence` and
-    :func:`weak_ergodicity_experiment`.
+    :func:`weak_ergodicity_experiment`: (values, second values or None,
+    stopped).
 
-    For each block of :func:`_product_blocks` (``cap``, ``check``),
-    ``measure(P, B)`` gives every step's value, and a second value per step
-    or None.  The rules then apply in step order: with ``limits``, a value
-    below UNDERFLOW_CLAMP is raised to it (the first such step is recorded)
-    and one not at most OVERFLOW_LIMIT stops the trace as an overflow; a
-    value below ``threshold`` stops it as a crossing.  So the sequence is
-    read at most ``cap - 1`` steps past the stop, and a step's error is
-    raised only if no step before it stopped the trace.  With ``limits``, a
-    product with an entry not at most OVERFLOW_LIMIT (one scan per block)
-    ends the part of its block that is measured with it.
+    Each block of :func:`_product_blocks` (``cap``, ``check``) is measured
+    whole, with numpy's overflow and invalid-value warnings off:
+    ``measure(P, B)`` gives every step's value, a second value per step or
+    None, and a mask of the steps that stop the trace.  The values are kept
+    up to and including the first stopping step.  So the sequence is read
+    at most ``cap - 1`` steps past the stop, and a step's error is raised
+    only if no step before it stopped the trace.
     """
-    values, factor_values = [], []
-    clamped_from = None
+    values, seconds = [], []
     for P, B, _ in _product_blocks(seq, sched, max_r, cap, check):
-        big = np.abs(P[:-1]).max(axis=(1, 2), initial=0.0) if limits else np.zeros(0)
-        cuts = (np.flatnonzero(~(big <= OVERFLOW_LIMIT)) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [len(P)]):
-            vals, fvals = measure(P[lo:hi], B[lo:hi])
-            low = (vals < UNDERFLOW_CLAMP) & limits
-            vals = np.where(low, UNDERFLOW_CLAMP, vals)
-            over = ~(vals <= OVERFLOW_LIMIT) & limits
-            stops = np.flatnonzero(over | (vals < (-np.inf if threshold is None
-                                                   else threshold)))
-            k = stops[0] + 1 if stops.size else len(vals)
-            if clamped_from is None and low[:k].any():
-                clamped_from = len(values) + int(low.argmax()) + 1
-            values += vals[:k].tolist()
-            if fvals is not None:
-                factor_values += fvals[:k].tolist()
-            if stops.size:
-                return _Trace(values, factor_values,
-                              "overflow" if over[stops[0]] else "crossed", clamped_from)
-    return _Trace(values, factor_values, None, clamped_from)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, svals, stop = measure(P, B)
+        stops = np.flatnonzero(stop)
+        k = stops[0] + 1 if stops.size else len(vals)
+        values.append(vals[:k])
+        if svals is not None:
+            seconds.append(svals[:k])
+        if stops.size:
+            break
+    return (np.concatenate(values), np.concatenate(seconds) if seconds else None,
+            bool(stops.size))
 
 
 def _block_norms(S: np.ndarray, norm: VectorNorm) -> np.ndarray:
@@ -492,22 +473,29 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     blocks of up to BLOCK_CAP, so ``seq`` may be asked for up to
     BLOCK_CAP - 1 factors past the stop (see :func:`_run_trace`).
     """
-    if threshold is not None and threshold <= 0:
+    if threshold is not None and not threshold > 0:
         raise ValueError("threshold must be positive")
 
+    def measure(P, B):
+        mus = _block_norms(P, norm)
+        stop = ~(mus <= OVERFLOW_LIMIT)
+        if threshold is not None:
+            stop |= np.maximum(mus, UNDERFLOW_CLAMP) < threshold
+        return mus, _block_norms(B, norm), stop
+
     # A sampled norm is measured one step at a time: none is spent past the stop.
-    run = _run_trace(seq, sched, max_r,
-                     lambda P, B: (_block_norms(P, norm), _block_norms(B, norm)),
-                     threshold, limits=True,
-                     cap=BLOCK_CAP if has_closed_form(norm) else 1)
-    diag = partial_sum_diagnostics(run.factor_values)
+    raw, factor_mus, stopped = _run_trace(
+        seq, sched, max_r, measure, cap=BLOCK_CAP if has_closed_form(norm) else 1)
+    low = np.flatnonzero(raw < UNDERFLOW_CLAMP)
+    mus = np.maximum(raw, UNDERFLOW_CLAMP)
+    diag = partial_sum_diagnostics(factor_mus)
     bound_M = float(diag.plus_products[-1])
     envelope = bound_M * diag.minus_products
-    r = len(run.values)
-    overflow_at = r if run.stop == "overflow" else None
+    r = len(mus)
+    overflow_at = r if stopped and not mus[-1] <= OVERFLOW_LIMIT else None
     if overflow_at is not None:
         status = TraceStatus("exhausted", r=overflow_at, bound=bound_M)
-    elif run.stop == "crossed":
+    elif stopped:
         status = TraceStatus("converged_below", r=r, threshold=threshold)
     elif threshold is None:
         status = TraceStatus("bounded_by", bound=bound_M)
@@ -515,9 +503,9 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
         status = TraceStatus("exhausted", r=max_r, threshold=threshold,
                              bound=bound_M)
     return ConvergenceTrace(
-        rs=np.arange(1, r + 1), mus=np.asarray(run.values),
-        envelope=envelope, factor_mus=diag.values, bound_M=bound_M,
-        status=status, schedule=sched, clamped_from=run.clamped_from,
+        rs=np.arange(1, r + 1), mus=mus, envelope=envelope,
+        factor_mus=diag.values, bound_M=bound_M, status=status, schedule=sched,
+        clamped_from=int(low[0]) + 1 if low.size else None,
         overflow_at=overflow_at)
 
 

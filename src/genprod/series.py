@@ -67,6 +67,9 @@ class TailModel:
     def __post_init__(self):
         if self.kind not in ("p_series", "periodic", "explicit_prefix"):
             raise ValueError(f"unknown tail family {self.kind!r}")
+        if not all(map(math.isfinite, (self.amplitude, self.exponent, self.limit,
+                                       *self.values))):
+            raise ValueError("tail model parameters and values must be finite")
         if self.kind == "p_series":
             if self.side not in ("above", "below"):
                 raise ValueError("side must be 'above' or 'below'")

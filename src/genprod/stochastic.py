@@ -207,19 +207,21 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     :func:`genprod.products.monitor_convergence`, so a factor past the
     crossing may be fetched but is never reported.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
+
+    def measure(P, B):
+        w = _coefficients(P)
+        return w, None, w < threshold
 
     runs = []
     for sched in schedules:
-        run = _run_trace(seq, sched, max_r, lambda P, B: (_coefficients(P), None),
-                         threshold, limits=False,
-                         check=(validate_stochastic, _stochastic_mask))
-        crossed = len(run.values) if run.stop == "crossed" else None
+        values, _, crossed = _run_trace(
+            seq, sched, max_r, measure, check=(validate_stochastic, _stochastic_mask))
         runs.append(ScheduleErgodicityResult(
-            schedule=sched, rs=np.arange(1, len(run.values) + 1),
-            coefficients=np.asarray(run.values), crossed_at=crossed,
-            status="converged_below" if crossed is not None else "exhausted"))
+            schedule=sched, rs=np.arange(1, len(values) + 1), coefficients=values,
+            crossed_at=len(values) if crossed else None,
+            status="converged_below" if crossed else "exhausted"))
     return WeakErgodicityReport(threshold=threshold, max_r=max_r,
                                 runs=tuple(runs))
 

@@ -503,3 +503,68 @@ def test_overflowing_product_run_prints_no_numpy_warning(tmp_path, capsys):
     assert "RuntimeWarning" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"]["type"] \
         == "NumericalFailure"
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs and numerical exits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sub", ["product", "ergodicity"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_nan_threshold_exits_validation_without_a_report(tmp_path, capsys, sub, flag):
+    # Python's json reads the NaN literal; the flag parses "nan" as a float
+    cfg = write_config(tmp_path, "t.json", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{}],
+        "threshold": 1e-3 if flag else float("nan"),
+        "max_r": 10,
+    })
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--threshold", "nan"] if flag else [])) == EXIT_VALIDATION
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["message"] == "threshold must be positive"
+
+
+def test_nan_tail_model_exits_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, "e.json", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{}],
+        "threshold": 1e-3,
+        "max_r": 10,
+        "condition_C": {"kind": "p_series", "amplitude": float("nan"),
+                        "exponent": 2.0},
+        "condition_D": {"kind": "constant", "value": 0.5},
+    })
+    out = tmp_path / "out"
+    assert main(["ergodicity", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError" and "must be finite" in err["message"]
+
+
+def test_non_invariant_subspace_exits_numerical_with_residual(tmp_path, capsys):
+    cfg = write_config(tmp_path, "n.json", {
+        "matrix": [[0.5, 0.2], [0.1, 0.3]],
+        "subspace": {"kind": "mean_zero", "n": 2},
+    })
+    assert main(["norm", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "InvarianceError"
+    assert err["detail"]["residual"] == pytest.approx(0.05)
+
+
+def test_ambiguous_rank_in_an_audit_exits_numerical_with_gap(tmp_path, capsys):
+    # the singular values 1.5e-10 and 0.9e-10 of I - A straddle the rank cutoff
+    cfg = write_config(tmp_path, "c.json", {
+        "matrix": np.diag([0.0, 1 - 1.5e-10, 1 - 0.9e-10]).tolist(),
+        "audit": True,
+    })
+    assert main(["classify", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "RankAmbiguityError"
+    assert err["detail"]["gap"] == pytest.approx(5 / 3)

@@ -409,3 +409,37 @@ def test_monotonicity_probe_finds_linf_counterexample():
     y, yp, z = probe.counterexample
     assert LINF(y) < LINF(yp)
     assert LINF(y + z) >= LINF(yp + z) * (1 - 1e-12)
+
+
+def test_expansive_matrix_is_not_an_h_contractor():
+    v = check_H_contractor(2 * np.eye(2), mean_zero_subspace(2), L1)
+    assert v.kind == F
+    assert v.note == "matrix is expansive"
+    assert v.certificate["operator_norm"] == pytest.approx(2.0)
+
+
+def test_sampled_contraction_ratio_is_inconclusive():
+    # l1 on a coordinate plane written in a rotated basis has no closed form
+    A = np.diag([1.0, 0.5, 0.3])
+    v = check_H_contractor(A, Subspace.span([0, 1, 1], [0, 1, -1]), L1)
+    assert v.kind == I
+    assert v.certificate["k_method"] == "optimized"
+    assert v.certificate["k"] == pytest.approx(0.5, abs=1e-6)
+    assert "sampled lower bound" in v.note
+
+
+def test_exact_ratio_within_tolerance_of_one_is_inconclusive():
+    v = check_H_contractor(np.diag([1.0, 1 - 1e-9]), Subspace.span([0, 1]), L2)
+    assert v.kind == I
+    assert v.certificate["k_method"] == "closed_form"
+    assert v.certificate["k"] == pytest.approx(1 - 1e-9, abs=1e-15)
+    assert "within tolerance" in v.note
+
+
+def test_audit_rotation_block_sits_on_the_k_1_boundary():
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    rep = equiv_theorem_audit(rot, L2)
+    assert rep.boundary == "k=1"
+    assert rep.k == pytest.approx(1.0) and rep.gamma is None
+    assert rep.l_paracontracting is None
+    assert rep.h_contractor.kind == F

@@ -192,3 +192,13 @@ def test_csv_texts_exact_bytes():
         "i,value,plus_sum,minus_sum,plus_product,minus_product\n"
         "1,0.5,0.0,0.5,1.0,0.5\n"
         "2,2.0,1.0,0.5,2.0,0.5\n")
+
+
+def test_to_jsonable_keeps_str_enums_and_lists_named_tuples():
+    from genprod.contraction import ProofChainStats, Verdict
+    from genprod.series import ConditionVerdict
+    out = matio.to_jsonable({"v": Verdict.CERTIFIED, "c": ConditionVerdict.HOLDS,
+                             "chain": ProofChainStats(3, -0.5, np.float64(0.25))})
+    assert out == {"v": "certified", "c": "holds", "chain": [3, -0.5, 0.25]}
+    assert json.dumps(out, sort_keys=True) == \
+        '{"c": "holds", "chain": [3, -0.5, 0.25], "v": "certified"}'

@@ -686,3 +686,35 @@ def test_non_stochastic_family_member_raises_at_its_own_step(build, at):
         run = weak_ergodicity_experiment(seq, [ProductSchedule()], threshold,
                                          200).runs[0]
         assert run.crossed_at == at - 1
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+def test_monitor_rejects_a_threshold_that_is_not_positive(threshold):
+    # a NaN threshold never crosses, so it would report exhausted
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        monitor_convergence(MatrixSequence.constant(0.5 * np.eye(2)),
+                            ProductSchedule(), L1, threshold, 10)
+
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF])
+def test_overflow_and_clamp_are_read_from_the_raw_values(norm):
+    # the product dips below the clamp at step 2 and climbs past the overflow
+    # limit at step 6, inside the block of steps 4-7; step 7 is infinite
+    eye = np.eye(2)
+    mats = [1e-160 * eye] * 2 + [1e200 * eye] * 3 + [1e21 * eye, 1e200 * eye]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = monitor_convergence(MatrixSequence.from_list(mats),
+                                    ProductSchedule(), norm, None, 7)
+    assert trace.clamped_from == 2 and trace.mus[1] == 1e-300
+    assert trace.mus[2] == pytest.approx(1e-120, rel=1e-3)
+    assert trace.overflow_at == 6 and trace.rs[-1] == 6
+    assert trace.status.kind == "exhausted" and trace.status.r == 6
+
+
+def test_threshold_is_compared_with_the_clamped_value():
+    # the raw norm 1e-320 is below a 1e-310 threshold, the clamped 1e-300 is not
+    seq = MatrixSequence.from_list([1e-160 * np.eye(2)] * 3)
+    trace = monitor_convergence(seq, ProductSchedule(), L1, 1e-310, 2)
+    assert trace.crossed_at is None and trace.clamped_from == 2
+    assert trace.status.kind == "exhausted"

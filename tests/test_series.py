@@ -207,3 +207,25 @@ def test_verdicts_stable_under_bounded_displacement_permutation():
     d0 = partial_sum_diagnostics(vals)
     d1 = partial_sum_diagnostics(shuffled)
     assert d0.plus_sums[-1] == pytest.approx(d1.plus_sums[-1])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TailModel.p_series(NAN, 2.0),
+    lambda: TailModel.p_series(0.5, NAN),
+    lambda: TailModel.p_series(0.5, 1.0, "below", limit=NAN),
+    lambda: TailModel.p_series(INF, 2.0),
+    lambda: TailModel.p_series(0.5, INF),
+    lambda: TailModel.p_series(0.5, 1.0, "above", limit=INF),
+    lambda: TailModel.constant_value(NAN),
+    lambda: TailModel.constant_value(INF),
+    lambda: TailModel.periodic([0.5, NAN]),
+    lambda: TailModel.finite_support([NAN]),
+    lambda: TailModel.with_prefix([0.5, INF], None),
+])
+def test_non_finite_tail_model_is_rejected(build):
+    # NaN fails every comparison, so such a family certified conditions C and D
+    with pytest.raises(ValueError, match="must be finite"):
+        build()

@@ -371,3 +371,10 @@ def test_repair_refuses_massless_column():
     from genprod.stochastic import repair_stochastic
     with pytest.raises(StochasticityError):
         repair_stochastic(np.array([[0.0, 1.0], [-1e-9, 0.0]]))
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+def test_experiment_rejects_a_threshold_that_is_not_positive(threshold):
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        weak_ergodicity_experiment(MatrixSequence.constant(RUNNING),
+                                   [ProductSchedule()], threshold, 10)
