@@ -25,6 +25,7 @@ from . import contraction, matio, products, spectral, stochastic
 from .norms import (
     InvarianceError,
     RankAmbiguityError,
+    as_vector,
     operator_norm,
     partial_norm,
     vector_norm,
@@ -103,7 +104,7 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
     results = {"dimension": A.shape[0],
                "operator_norm": operator_norm(A, norm, seed=seed)}
     if "vector" in config:
-        x = np.asarray(config["vector"], dtype=float)
+        x = as_vector(matio.vector_from_jsonable(config["vector"]), A.shape[0])
         results["vector_norm"] = vector_norm(x, norm)
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
@@ -205,9 +206,7 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
 
 def run_spectral(config: dict, base_dir: Path) -> tuple[dict, dict]:
     A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
-    lam_cfg = _require(config, "eigenvalue")
-    lam = complex(lam_cfg[0], lam_cfg[1]) if isinstance(lam_cfg, list) \
-        else complex(float(lam_cfg))
+    lam = complex(matio.vector_from_jsonable([_require(config, "eigenvalue")])[0])
     results: dict = {
         "multiplicities": spectral.multiplicities(A, lam),
         "eigenvalue_one_semisimple": spectral.eigenvalue_one_semisimple(A),

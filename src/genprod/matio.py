@@ -82,6 +82,13 @@ def matrix_from_jsonable(obj) -> np.ndarray:
     return A
 
 
+def vector_from_jsonable(obj) -> np.ndarray:
+    """A vector in the matrix entry format: reals and [re, im] pairs."""
+    if not isinstance(obj, list):
+        raise ConfigError("vector must be a list of entries")
+    return matrix_from_jsonable([obj])[0]
+
+
 def save_matrix_json(A, path) -> None:
     Path(path).write_text(json.dumps(matrix_to_jsonable(A)) + "\n",
                           encoding="utf-8")
@@ -245,11 +252,7 @@ def subspace_from_config(cfg) -> Subspace:
         vecs = cfg.get("vectors", [])
         if not vecs:
             raise ConfigError("span subspace needs vectors")
-        M = np.array([[complex(v[0], v[1]) if isinstance(v, list) else float(v)
-                       for v in row] for row in vecs])
-        if not np.iscomplexobj(M):
-            M = M.astype(float)
-        return Subspace.from_spanning(M.T)
+        return Subspace.from_spanning(matrix_from_jsonable(vecs).T)
     if kind == "basis":
         return Subspace(matrix_from_jsonable(_get(cfg, "columns", "subspace")))
     raise ConfigError(f"unknown subspace kind {kind!r}")

@@ -8,7 +8,7 @@ between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -295,15 +295,18 @@ def complementary_pair(A) -> SplittingReport:
 # ---------------------------------------------------------------------------
 
 class VectorNorm:
-    """Base class: a vector norm evaluable on single vectors and columnwise."""
+    """Base class: a vector norm, defined by ``batch`` (columnwise) or by
+    ``__call__``; the default scalar call checks the length, then batches."""
 
     name = "norm"
 
     def __call__(self, x) -> float:
-        raise NotImplementedError
+        return float(self.batch(as_vector(x, self.dimension())[:, None])[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """Norm of every column of X."""
+        if type(self).__call__ is VectorNorm.__call__:
+            raise NotImplementedError("a VectorNorm defines batch or __call__")
         return np.array([self(X[:, j]) for j in range(X.shape[1])])
 
     def dimension(self) -> int | None:
@@ -324,17 +327,6 @@ class PNorm(VectorNorm):
     @property
     def name(self) -> str:
         return {1.0: "l1", 2.0: "l2", np.inf: "linf"}[self.p]
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x)
-        if x.size == 0:
-            return 0.0
-        a = np.abs(x)
-        if self.p == 1.0:
-            return float(a.sum())
-        if self.p == 2.0:
-            return float(_euclidean(a.reshape(-1, 1))[0])
-        return float(a.max())
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         if X.shape[0] == 0:
@@ -407,10 +399,6 @@ class WeightedL1(VectorNorm):
     def dimension(self) -> int:
         return self.weights.shape[0]
 
-    def __call__(self, x) -> float:
-        x = as_vector(x, self.weights.shape[0])
-        return float(self.weights @ np.abs(x))
-
     def batch(self, X: np.ndarray) -> np.ndarray:
         return self.weights @ np.abs(X)
 
@@ -421,37 +409,45 @@ class AdditiveNorm(VectorNorm):
 
     For x = y + z with y in H and z in K the value is base(y) + base(z).
     The split is the (generally oblique) projection along the pair, so the
-    additivity identity holds exactly by construction.  Use
-    :func:`additive_norm` to build one; it validates the direct sum.
+    additivity identity holds exactly by construction.
+
+    Raises DecompositionError unless dim H + dim K equals the ambient
+    dimension and the stacked basis is invertible with condition number
+    at most 1e8.
     """
 
     base: VectorNorm
     H: Subspace
     K: Subspace
-    _solve: np.ndarray = field(repr=False, default=None)
 
     name = "additive"
+
+    def __post_init__(self):
+        H, K = self.H, self.K
+        n = H.ambient_dim
+        if K.ambient_dim != n:
+            raise DecompositionError("H and K live in different ambient dimensions")
+        if H.dim + K.dim != n:
+            raise DecompositionError(
+                f"dim H + dim K = {H.dim + K.dim} does not span dimension {n}")
+        T = np.hstack([H.basis, K.basis])
+        if n == 0:
+            raise DecompositionError("empty ambient space")
+        sv = np.linalg.svd(T, compute_uv=False)
+        if sv[-1] <= 0 or sv[0] / sv[-1] > 1e8:
+            raise DecompositionError(
+                f"H and K overlap within tolerance (condition number "
+                f"{sv[0] / max(sv[-1], 1e-300):.2e} exceeds 1.0e+08)")
+        object.__setattr__(self, "_solve", _readonly(np.linalg.inv(T)))
 
     def dimension(self) -> int:
         return self.H.ambient_dim
 
-    def split(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (y, z) with x = y + z, y in H, z in K."""
-        x = as_vector(x, self.H.ambient_dim)
-        c = self._solve @ x
-        d = self.H.dim
-        y = self.H.basis @ c[:d]
-        z = self.K.basis @ c[d:]
-        return y, z
-
     def split_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (Y, Z) with X = Y + Z, columns of Y in H, of Z in K."""
         C = self._solve @ X
         d = self.H.dim
         return self.H.basis @ C[:d], self.K.basis @ C[d:]
-
-    def __call__(self, x) -> float:
-        y, z = self.split(x)
-        return float(self.base(y) + self.base(z))
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         Y, Z = self.split_batch(X)
@@ -459,35 +455,12 @@ class AdditiveNorm(VectorNorm):
 
 
 def additive_norm(base: VectorNorm, H: Subspace, K: Subspace) -> AdditiveNorm:
-    """Build the split-and-add norm over a direct sum H + K.
-
-    Raises DecompositionError unless dim H + dim K equals the ambient
-    dimension and the stacked basis is invertible with condition number
-    at most 1e8.
-    """
-    n = H.ambient_dim
-    if K.ambient_dim != n:
-        raise DecompositionError("H and K live in different ambient dimensions")
-    if H.dim + K.dim != n:
-        raise DecompositionError(
-            f"dim H + dim K = {H.dim + K.dim} does not span dimension {n}")
-    T = np.hstack([H.basis, K.basis])
-    if n == 0:
-        raise DecompositionError("empty ambient space")
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e8:
-        raise DecompositionError(
-            f"H and K overlap within tolerance (condition number "
-            f"{sv[0] / max(sv[-1], 1e-300):.2e} exceeds 1.0e+08)")
-    solve = np.linalg.inv(T)
-    solve.setflags(write=False)
-    return AdditiveNorm(base=base, H=H, K=K, _solve=solve)
+    """The split-and-add norm over a direct sum H + K (see AdditiveNorm)."""
+    return AdditiveNorm(base, H, K)
 
 
 def vector_norm(x, norm: VectorNorm) -> float:
-    """Evaluate a norm on a vector (with dimension checking)."""
-    d = norm.dimension()
-    x = as_vector(x, d)
+    """Evaluate a norm on a vector (the scalar call checks the dimension)."""
     return norm(x)
 
 

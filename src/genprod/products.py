@@ -490,7 +490,9 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     mus = np.maximum(raw, UNDERFLOW_CLAMP)
     diag = partial_sum_diagnostics(factor_mus)
     bound_M = float(diag.plus_products[-1])
-    envelope = bound_M * diag.minus_products
+    # An infinite bound is vacuous but valid; inf times an underflowed 0 is not.
+    envelope = bound_M * diag.minus_products if bound_M < np.inf \
+        else np.full_like(diag.minus_products, np.inf)
     r = len(mus)
     overflow_at = r if stopped and not mus[-1] <= OVERFLOW_LIMIT else None
     if overflow_at is not None:

@@ -260,6 +260,36 @@ def test_norm_subcommand(tmp_path):
     assert rep["results"]["partial_norm"]["value"] == pytest.approx(0.7)
 
 
+def test_norm_vector_in_the_matrix_entry_format(tmp_path):
+    cfg = write_config(tmp_path, "n.json", {
+        "matrix": RUNNING, "vector": [[1.0, 2.0], [3.0, 4.0]]})
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    rep = read_report(tmp_path, "norm")
+    assert rep["results"]["vector_norm"] == pytest.approx(np.sqrt(5.0) + 5.0,
+                                                          rel=1e-15)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vector", [1.0, 2.0, 3.0]),          # length differs from the matrix
+    ("vector", [1.0, [1, 2, 3]]),         # not an [re, im] pair
+    ("subspace", {"kind": "span", "vectors": [[1.0, [1, 2, 3]]]}),
+])
+def test_norm_config_vectors_are_checked(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "n.json", {"matrix": RUNNING, key: value})
+    out = tmp_path / "out"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_spectral_eigenvalue_must_be_a_real_or_a_pair(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {"matrix": RUNNING,
+                                            "eigenvalue": [0, 1, 5]})
+    out = tmp_path / "out"
+    assert main(["spectral", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_spectral_subcommand(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "matrix": RUNNING,
@@ -503,6 +533,25 @@ def test_overflowing_product_run_prints_no_numpy_warning(tmp_path, capsys):
     assert "RuntimeWarning" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"]["type"] \
         == "NumericalFailure"
+
+
+def test_product_with_an_infinite_bound_writes_inf_envelope_rows(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {
+        "sequence": {"kind": "list",
+                     "matrices": [[[1e-200, 0.0], [0.0, 1e-200]]] * 2
+                     + [[[1e200, 0.0], [0.0, 1e200]]] * 3},
+        "schedules": [{"p": 0}], "norm": {"kind": "l1"}, "max_r": 5,
+    })
+    assert main(["product", "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rep = read_report(tmp_path, "product")
+    assert rep["results"]["schedules"][0]["bound_M"] == "inf"
+    (rows,) = [t["rows"] for t in rep["traces"].values()]
+    assert [row[2] for row in rows] == ["inf"] * 5
+    (csv_file,) = tmp_path.glob("product-*.csv")
+    assert [line.split(",")[2] for line in csv_file.read_text().splitlines()[1:]] \
+        == ["inf"] * 5
 
 
 # ---------------------------------------------------------------------------

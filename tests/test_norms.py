@@ -6,6 +6,8 @@ import pytest
 
 from genprod.norms import (
     INVARIANCE_TOL,
+    AdditiveNorm,
+    DecompositionError,
     InvarianceError,
     L1,
     L2,
@@ -123,6 +125,88 @@ def test_l2_of_huge_entries_rescales_without_overflowing():
         np.testing.assert_allclose(
             L2.batch(X), [np.sqrt(3.0) * 1e200, 5.0, np.sqrt(3.0) * 1e-200],
             rtol=1e-15)
+
+
+class _BatchOnly(VectorNorm):
+    def dimension(self):
+        return 3
+
+    def batch(self, X):
+        return np.abs(X).sum(axis=0)
+
+
+class _ScalarOnly(VectorNorm):
+    def __call__(self, x):
+        return float(np.abs(np.asarray(x)).max())
+
+
+class _Neither(VectorNorm):
+    pass
+
+
+def test_a_norm_defining_only_batch_gets_a_checked_scalar_call():
+    assert _BatchOnly()([1.0, -2.0, 3.0]) == 6.0
+    assert vector_norm([3j, 4.0, 0.0], _BatchOnly()) == 7.0
+    H, K = Subspace.span([1, 0, 0]), Subspace.span([0, 1, 0], [0, 0, 1])
+    for norm in (_BatchOnly(), WeightedL1(np.ones(3)), additive_norm(L1, H, K)):
+        with pytest.raises(ValueError, match="length 2, expected 3"):
+            norm([1.0, 2.0])
+
+
+def test_a_norm_defining_only_the_scalar_call_gets_batch():
+    X = np.array([[1.0, -5.0], [-2.0, 3.0]])
+    np.testing.assert_array_equal(_ScalarOnly().batch(X), [2.0, 5.0])
+
+
+def test_a_norm_defining_neither_raises_not_implemented():
+    with pytest.raises(NotImplementedError):
+        _Neither()([1.0])
+    with pytest.raises(NotImplementedError):
+        _Neither().batch(np.eye(2))
+
+
+def test_additive_norm_built_directly_validates_itself():
+    assert [f.name for f in dataclasses.fields(AdditiveNorm)] == ["base", "H", "K"]
+    rng = np.random.default_rng(21)
+    H = Subspace.span([1, -1, 0])
+    K = Subspace.span([1, 1, 0], [0, 0, 1])
+    X = rng.standard_normal((3, 30))
+    X = np.hstack([X, X + 1j * rng.standard_normal((3, 30))])
+    for base in (L1, L2, LINF):
+        direct, built = AdditiveNorm(base, H, K), additive_norm(base, H, K)
+        np.testing.assert_array_equal(direct.batch(X), built.batch(X))
+        assert [direct(x) for x in X.T] == [built(x) for x in X.T]
+    line = Subspace.span([1, 1])
+    with pytest.raises(DecompositionError, match="overlap"):
+        AdditiveNorm(L1, line, line)
+    with pytest.raises(DecompositionError, match="does not span"):
+        AdditiveNorm(L1, H, H)
+    with pytest.raises(DecompositionError, match="different ambient"):
+        AdditiveNorm(L1, line, K)
+
+
+def test_vector_norms_scale_exactly_by_powers_of_two_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+               k=st.integers(-830, 830), cplx=st.booleans())
+    def prop(seed, n, k, cplx):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if cplx:
+            x = x + 1j * rng.standard_normal(n)
+        d = int(rng.integers(1, n))
+        H = Subspace.from_spanning(rng.standard_normal((n, d)))
+        K = Subspace.from_spanning(rng.standard_normal((n, n - d)))
+        norms = [L1, L2, LINF, WeightedL1(rng.uniform(0.1, 10.0, n))]
+        norms += [additive_norm(base, H, K) for base in (L1, L2, LINF)]
+        for norm in norms:
+            assert norm(2.0 ** k * x) == 2.0 ** k * norm(x), (norm.name, k)
+
+    prop()
 
 
 # ---------------------------------------------------------------------------

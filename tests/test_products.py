@@ -364,6 +364,17 @@ def test_envelope_past_the_float_range_is_inf_without_a_warning():
     assert bound[-1] == math.inf
 
 
+def test_infinite_bound_over_an_underflowed_running_product_is_an_inf_envelope():
+    # the running product of min(mu, 1) underflows to 0 while M_r passes the
+    # float range: the vacuous bound inf, not inf * 0 = NaN
+    seq = MatrixSequence.from_list([1e-200 * np.eye(2)] * 2 + [1e200 * np.eye(2)] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = monitor_convergence(seq, ProductSchedule(), L1, None, 5)
+    assert trace.bound_M == math.inf
+    assert trace.envelope.tolist() == [math.inf] * 5
+
+
 @pytest.mark.parametrize("norm", [L1, L2])
 def test_non_finite_product_or_norm_ends_trace_as_overflow(norm):
     # (1e160)^2 overflows the product to inf; under l2 the Gram route
