@@ -19,7 +19,8 @@ yields the certified rate gamma = (1 - k) / (1 + k).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .norms import (
     AdditiveNorm,
     InvarianceError,
-    L2,
     MOVED_RTOL,
     NORM_TOL,
     PNorm,
@@ -98,48 +98,225 @@ def _is_identity(A: np.ndarray, atol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(A - np.eye(n)) <= atol))
 
 
-def _probe_matrix(A: np.ndarray, norm: VectorNorm, budget: int,
-                  seed: int) -> np.ndarray:
-    """Falsification probes: coordinate vectors, eigenvector directions, the
-    part bases of an additive norm, then seeded random fill up to the budget."""
-    n = A.shape[0]
-    cplx = np.iscomplexobj(A)
-    cols = [np.eye(n, dtype=complex if cplx else float)]
-    try:
-        _, vecs = np.linalg.eig(A)
-        cols.append(vecs.real)
-        if np.iscomplexobj(vecs):
-            cols.append(vecs.imag)
-    except np.linalg.LinAlgError:
-        pass
-    if isinstance(norm, AdditiveNorm):
-        cols.extend(part.basis for part in (norm.H, norm.K) if part.dim)
-    fill = max(budget - sum(c.shape[1] for c in cols), 0)
-    if fill:
-        cols.append(_standard_normal(np.random.default_rng(seed), (n, fill),
-                                     cplx))
-    X = np.hstack([c.astype(complex if cplx else float) for c in cols])
-    keep = np.linalg.norm(X, axis=0) > 1e-12
-    return X[:, keep]
-
-
-def _find_strict_drop_violation(A, norm, X):
-    """Index of the worst sampled x with A x != x but no norm drop, or None."""
-    AX = A @ X
-    moved = norm.batch(AX - X)
-    nx = norm.batch(X)
-    nax = norm.batch(AX)
-    ok = nx > 1e-300
-    viol = ok & (moved > MOVED_RTOL * nx) & (nax >= nx * (1.0 - FALSIFY_RTOL))
-    if not np.any(viol):
-        return None
-    ratios = np.where(viol, nax / np.maximum(nx, 1e-300), -np.inf)
-    return int(np.argmax(ratios))
-
-
 # ---------------------------------------------------------------------------
-# Nonexpansiveness
+# Contraction checks
 # ---------------------------------------------------------------------------
+
+class _Facts:
+    """What the verdicts on (A, norm) read, each computed on first use, so a
+    caller that reads several verdicts (the audit) computes each fact once.
+    ``budget`` is the probe count and the sample count of sampled norms.
+    """
+
+    def __init__(self, A, norm: VectorNorm, budget: int, seed: int):
+        self.A = as_matrix(A)
+        self.norm, self.budget, self.seed = norm, budget, seed
+        self._partials = {}
+
+    @cached_property
+    def probes(self):
+        """Probes X (coordinate vectors, eigenvector directions, additive parts,
+        seeded random fill to the budget), norm(X), norm(A X), norm(A X - X)."""
+        A, norm = self.A, self.norm
+        n = A.shape[0]
+        cplx = np.iscomplexobj(A)
+        cols = [np.eye(n, dtype=complex if cplx else float)]
+        try:
+            _, vecs = np.linalg.eig(A)
+            cols.append(vecs.real)
+            if np.iscomplexobj(vecs):
+                cols.append(vecs.imag)
+        except np.linalg.LinAlgError:
+            pass
+        if isinstance(norm, AdditiveNorm):
+            cols.extend(part.basis for part in (norm.H, norm.K) if part.dim)
+        fill = max(self.budget - sum(c.shape[1] for c in cols), 0)
+        if fill:
+            cols.append(_standard_normal(np.random.default_rng(self.seed),
+                                         (n, fill), cplx))
+        X = np.hstack([c.astype(complex if cplx else float) for c in cols])
+        X = X[:, np.linalg.norm(X, axis=0) > 1e-12]
+        AX = A @ X
+        return X, norm.batch(X), norm.batch(AX), norm.batch(AX - X)
+
+    @cached_property
+    def nonexpansive(self) -> ContractionVerdict:
+        value, witness, exact = _operator_norm_detail(
+            self.A, self.norm, samples=self.budget, seed=self.seed)
+        cert = {"operator_norm": value, "exact": exact}
+        if value > 1.0 + NORM_TOL:
+            return ContractionVerdict(Verdict.FALSIFIED, "nonexpansive",
+                                      witness=witness, certificate=cert)
+        if exact:
+            return ContractionVerdict(Verdict.CERTIFIED, "nonexpansive",
+                                      certificate=cert)
+        return ContractionVerdict(
+            Verdict.INCONCLUSIVE, "nonexpansive", certificate=cert,
+            note="operator norm known only as a sampled lower bound")
+
+    def partial(self, H: Subspace):
+        """``partial_norm(A, H, norm)``, once per Subspace object (by identity)."""
+        if H not in self._partials:
+            self._partials[H] = partial_norm(self.A, H, self.norm,
+                                             samples=self.budget, seed=self.seed)
+        return self._partials[H]
+
+    @cached_property
+    def split(self) -> dict | None:
+        """Certificate via a norm that adds up along fixed/moving parts of A.
+
+        Reads the split from the additive norm's own parts H + K and checks
+        three facts: A fixes every vector of K (``max|A K - K|`` at most
+        ``MOVED_RTOL * max(1, max|A|)``), H is invariant, and ``k`` (the
+        base norm's ratio on H) is exact and below ``1 - NORM_TOL``.
+
+        Since H + K is the whole space, these prove the rest.  For x = y + z
+        with y in H and z in K, ``nu(A x) = base(A y) + base(z) <= k base(y)
+        + base(z) <= nu(x)``, so A is nonexpansive.  As k < 1, 1 is not an
+        eigenvalue of A on H, so K is the fixed space of A, H is the range of
+        I - A, and eigenvalue 1 is semisimple.  The displacement bounds
+        ``nu(x - A x) <= (1 + k) base(y)`` and ``nu(x) - nu(A x) >= (1 - k)
+        base(y)`` give the rate gamma = (1 - k) / (1 + k).  A non-invariant H
+        means no certificate.  The certificate dict, or None.
+        """
+        norm = self.norm
+        if not isinstance(norm, AdditiveNorm) or not _fixes(self.A, norm.K):
+            return None
+        try:
+            kres = self.partial(norm.H)
+        except InvarianceError:
+            return None
+        if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
+            return None
+        k = kres.value
+        return {"k": k, "gamma": lp_gamma(k), "route": "additive_split",
+                "moving_dim": norm.H.dim}
+
+    def orthogonal_l2(self) -> dict | None:
+        """Paracontraction certificate for the euclidean norm.
+
+        When the fixed space and the moving space are orthogonal complements,
+        the euclidean norm splits by Pythagoras, so strict contraction on the
+        moving part certifies the strict drop on every moved vector.  This
+        route does NOT certify a gamma rate (the rate inequality genuinely
+        fails for the euclidean norm without additivity).
+        """
+        try:
+            pair = complementary_pair(self.A)
+        except (RankAmbiguityError, np.linalg.LinAlgError):
+            return None
+        if not pair.complementary or pair.moving.dim == 0:
+            return None
+        if pair.fixed.dim:
+            cross = pair.fixed.basis.conj().T @ pair.moving.basis
+            if float(np.abs(cross).max()) > 1e-8:
+                return None
+        if self.nonexpansive.falsified:
+            return None
+        kres = self.partial(pair.moving)
+        if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
+            return None
+        return {"k": kres.value, "route": "orthogonal_l2",
+                "moving_dim": pair.moving.dim}
+
+    def paracontracting(self) -> ContractionVerdict:
+        X, nx, nax, moved = self.probes
+        used = X.shape[1]
+        viol = (nx > 1e-300) & (moved > MOVED_RTOL * nx) & \
+            (nax >= nx * (1.0 - FALSIFY_RTOL))
+        if np.any(viol):
+            idx = int(np.argmax(np.where(viol, nax / np.maximum(nx, 1e-300),
+                                         -np.inf)))
+            return ContractionVerdict(Verdict.FALSIFIED, "paracontracting",
+                                      witness=X[:, idx], budget_used=used)
+        if _is_identity(self.A):
+            return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
+                                      budget_used=used,
+                                      note="vacuous: the matrix moves no vector")
+        cert = self.split
+        if cert is None and isinstance(self.norm, PNorm) and self.norm.p == 2.0:
+            cert = self.orthogonal_l2()
+        if cert is not None:
+            return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
+                                      certificate=cert, budget_used=used)
+        return ContractionVerdict(
+            Verdict.INCONCLUSIVE, "paracontracting", budget_used=used,
+            note="no violation sampled; no certification route applies")
+
+    def l_paracontracting(self, gamma: float) -> ContractionVerdict:
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        X, nx, nax, moved = self.probes
+        used = X.shape[1]
+        slack = nax - (nx - gamma * moved)
+        viol = slack > NORM_TOL * np.maximum(nx, 1.0)
+        if np.any(viol):
+            idx = int(np.argmax(np.where(viol, slack, -np.inf)))
+            return ContractionVerdict(
+                Verdict.FALSIFIED, "l_paracontracting", witness=X[:, idx],
+                certificate={"gamma": gamma, "slack": float(slack[idx])},
+                budget_used=used)
+        if _is_identity(self.A):
+            return ContractionVerdict(
+                Verdict.CERTIFIED, "l_paracontracting",
+                certificate={"gamma": gamma, "route": "identity"},
+                budget_used=used, note="vacuous: the displacement term is zero")
+        cert = self.split
+        if cert is None:
+            return ContractionVerdict(
+                Verdict.INCONCLUSIVE, "l_paracontracting", budget_used=used,
+                note="no violation sampled; no certification route applies")
+        if cert["gamma"] >= gamma - 1e-15:
+            return ContractionVerdict(
+                Verdict.CERTIFIED, "l_paracontracting", budget_used=used,
+                certificate={**cert, "gamma_requested": gamma})
+        return ContractionVerdict(
+            Verdict.INCONCLUSIVE, "l_paracontracting", budget_used=used,
+            certificate=cert,
+            note=f"certified rate {cert['gamma']:.6g} is below the "
+                 f"requested gamma {gamma:.6g}")
+
+    def h_contractor(self, H: Subspace) -> ContractionVerdict:
+        A = self.A
+        inv = check_invariance(A, H)
+        if not inv.ok:
+            leak = A @ H.basis - H.projector() @ (A @ H.basis)
+            j = int(np.argmax(np.linalg.norm(leak, axis=0)))
+            return ContractionVerdict(
+                Verdict.FALSIFIED, "h_contractor", witness=H.basis[:, j],
+                certificate={"invariance_residual": inv.residual},
+                note="subspace is not invariant")
+        nonexp = self.nonexpansive
+        if nonexp.falsified:
+            return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
+                                      witness=nonexp.witness,
+                                      certificate=nonexp.certificate,
+                                      note="matrix is expansive")
+        pn = self.partial(H)
+        cert = {"k": pn.value, "k_method": pn.method, "k_strategy": pn.strategy,
+                "subspace_dim": H.dim}
+        if not nonexp.certified:
+            return ContractionVerdict(Verdict.INCONCLUSIVE, "h_contractor",
+                                      certificate=cert, note=nonexp.note)
+        if pn.value >= 1.0:
+            return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
+                                      witness=pn.witness, certificate=cert)
+        if not pn.is_exact:
+            return ContractionVerdict(
+                Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
+                note="contraction ratio known only as a sampled lower bound")
+        if pn.value >= 1.0 - NORM_TOL:
+            return ContractionVerdict(
+                Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
+                note="contraction ratio within tolerance of 1")
+        return ContractionVerdict(Verdict.CERTIFIED, "h_contractor",
+                                  certificate=cert)
+
+
+def _split_certificate(A, norm, *, samples: int, seed: int):
+    """The additive-split certificate (:attr:`_Facts.split`) or None."""
+    return _Facts(A, norm, samples, seed).split
+
 
 def is_nonexpansive(A, norm: VectorNorm, *, samples: int = 4096,
                     seed: int = 0) -> ContractionVerdict:
@@ -149,89 +326,8 @@ def is_nonexpansive(A, norm: VectorNorm, *, samples: int = 4096,
     the sampling lower bound is available, a bound above 1 still falsifies
     (the witness is explicit), but a bound below 1 cannot certify.
     """
-    A = as_matrix(A)
-    value, witness, exact = _operator_norm_detail(A, norm, samples=samples,
-                                                  seed=seed)
-    cert = {"operator_norm": value, "exact": exact}
-    if value > 1.0 + NORM_TOL:
-        return ContractionVerdict(Verdict.FALSIFIED, "nonexpansive",
-                                  witness=witness, certificate=cert)
-    if exact:
-        return ContractionVerdict(Verdict.CERTIFIED, "nonexpansive",
-                                  certificate=cert)
-    return ContractionVerdict(
-        Verdict.INCONCLUSIVE, "nonexpansive", certificate=cert,
-        note="operator norm known only as a sampled lower bound")
+    return _Facts(A, norm, samples, seed).nonexpansive
 
-
-# ---------------------------------------------------------------------------
-# Structural certification routes
-# ---------------------------------------------------------------------------
-
-def _split_certificate(A, norm, *, samples: int, seed: int):
-    """Certificate via a norm that adds up along fixed/moving parts of A.
-
-    Reads the split from the additive norm's own parts H + K and checks
-    three facts: A fixes every vector of K (``max|A K - K|`` at most
-    ``MOVED_RTOL * max(1, max|A|)``), H is invariant, and
-    ``k = partial_norm(A, H, base)`` is exact and below ``1 - NORM_TOL``.
-
-    Since H + K is the whole space, these prove the rest.  For x = y + z
-    with y in H and z in K, ``nu(A x) = base(A y) + base(z) <= k base(y) +
-    base(z) <= nu(x)``, so A is nonexpansive.  As k < 1, 1 is not an
-    eigenvalue of A on H, so K is the fixed space of A, H is the range of
-    I - A, and eigenvalue 1 is semisimple.  The displacement bounds
-    ``nu(x - A x) <= (1 + k) base(y)`` and ``nu(x) - nu(A x) >= (1 - k)
-    base(y)`` give the rate gamma = (1 - k) / (1 + k).  A non-invariant H
-    means no certificate.  Returns the certificate dict or None.
-    """
-    if not isinstance(norm, AdditiveNorm):
-        return None
-    if not _fixes(A, norm.K):
-        return None
-    try:
-        kres = partial_norm(A, norm.H, norm.base, samples=samples, seed=seed)
-    except InvarianceError:
-        return None
-    if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
-        return None
-    k = kres.value
-    return {"k": k, "gamma": lp_gamma(k), "route": "additive_split",
-            "moving_dim": norm.H.dim}
-
-
-def _orthogonal_l2_certificate(A, *, seed: int):
-    """Paracontraction certificate for the euclidean norm.
-
-    When the fixed space and the moving space are orthogonal complements,
-    the euclidean norm splits by Pythagoras, so strict contraction on the
-    moving part certifies the strict drop on every moved vector.  This route
-    does NOT certify a gamma rate (the rate inequality genuinely fails for
-    the euclidean norm without additivity).
-    """
-    try:
-        pair = complementary_pair(A)
-    except (RankAmbiguityError, np.linalg.LinAlgError):
-        return None
-    if not pair.complementary or pair.moving.dim == 0:
-        return None
-    if pair.fixed.dim and pair.moving.dim:
-        cross = pair.fixed.basis.conj().T @ pair.moving.basis
-        if float(np.abs(cross).max()) > 1e-8:
-            return None
-    val, _, _ = _operator_norm_detail(A, L2, seed=seed)
-    if val > 1.0 + NORM_TOL:
-        return None
-    kres = partial_norm(A, pair.moving, L2, seed=seed)
-    if not kres.is_exact or kres.value >= 1.0 - NORM_TOL:
-        return None
-    return {"k": kres.value, "route": "orthogonal_l2",
-            "moving_dim": pair.moving.dim}
-
-
-# ---------------------------------------------------------------------------
-# Paracontraction and the rate inequality
-# ---------------------------------------------------------------------------
 
 def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
                           seed: int = 0) -> ContractionVerdict:
@@ -241,29 +337,7 @@ def check_paracontracting(A, norm: VectorNorm, budget: int = 2048, *,
     falsify; certification uses the additive-split route, the orthogonal
     euclidean route, or the vacuous case A = I.
     """
-    A = as_matrix(A)
-    X = _probe_matrix(A, norm, budget, seed)
-    used = X.shape[1]
-    idx = _find_strict_drop_violation(A, norm, X)
-    if idx is not None:
-        return ContractionVerdict(Verdict.FALSIFIED, "paracontracting",
-                                  witness=X[:, idx], budget_used=used)
-    if _is_identity(A):
-        return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
-                                  budget_used=used,
-                                  note="vacuous: the matrix moves no vector")
-    cert = _split_certificate(A, norm, samples=budget, seed=seed)
-    if cert is not None:
-        return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
-                                  certificate=cert, budget_used=used)
-    if isinstance(norm, PNorm) and norm.p == 2.0:
-        cert = _orthogonal_l2_certificate(A, seed=seed)
-        if cert is not None:
-            return ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
-                                      certificate=cert, budget_used=used)
-    return ContractionVerdict(
-        Verdict.INCONCLUSIVE, "paracontracting", budget_used=used,
-        note="no violation sampled; no certification route applies")
+    return _Facts(A, norm, budget, seed).paracontracting()
 
 
 def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
@@ -276,46 +350,8 @@ def check_l_paracontracting(A, norm: VectorNorm, gamma: float,
     gamma; otherwise inconclusive (sampling cannot prove a universally
     quantified inequality).
     """
-    A = as_matrix(A)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    X = _probe_matrix(A, norm, budget, seed)
-    used = X.shape[1]
-    AX = A @ X
-    nx = norm.batch(X)
-    slack = norm.batch(AX) - (nx - gamma * norm.batch(AX - X))
-    viol = slack > NORM_TOL * np.maximum(nx, 1.0)
-    if np.any(viol):
-        idx = int(np.argmax(np.where(viol, slack, -np.inf)))
-        return ContractionVerdict(
-            Verdict.FALSIFIED, "l_paracontracting", witness=X[:, idx],
-            certificate={"gamma": gamma, "slack": float(slack[idx])},
-            budget_used=used)
-    if _is_identity(A):
-        return ContractionVerdict(
-            Verdict.CERTIFIED, "l_paracontracting",
-            certificate={"gamma": gamma, "route": "identity"},
-            budget_used=used, note="vacuous: the displacement term is zero")
-    cert = _split_certificate(A, norm, samples=budget, seed=seed)
-    if cert is not None:
-        if cert["gamma"] >= gamma - 1e-15:
-            out = dict(cert)
-            out["gamma_requested"] = gamma
-            return ContractionVerdict(Verdict.CERTIFIED, "l_paracontracting",
-                                      certificate=out, budget_used=used)
-        return ContractionVerdict(
-            Verdict.INCONCLUSIVE, "l_paracontracting", budget_used=used,
-            certificate=cert,
-            note=f"certified rate {cert['gamma']:.6g} is below the "
-                 f"requested gamma {gamma:.6g}")
-    return ContractionVerdict(
-        Verdict.INCONCLUSIVE, "l_paracontracting", budget_used=used,
-        note="no violation sampled; no certification route applies")
+    return _Facts(A, norm, budget, seed).l_paracontracting(gamma)
 
-
-# ---------------------------------------------------------------------------
-# H-contraction
-# ---------------------------------------------------------------------------
 
 def check_H_contractor(A, H: Subspace, norm: VectorNorm, *,
                        samples: int = 4096, seed: int = 0) -> ContractionVerdict:
@@ -326,40 +362,7 @@ def check_H_contractor(A, H: Subspace, norm: VectorNorm, *,
     or a sampled lower bound; a sampled k below 1 cannot certify the
     supremum and stays inconclusive.
     """
-    A = as_matrix(A)
-    inv = check_invariance(A, H)
-    if not inv.ok:
-        leak = A @ H.basis - H.projector() @ (A @ H.basis)
-        j = int(np.argmax(np.linalg.norm(leak, axis=0)))
-        return ContractionVerdict(
-            Verdict.FALSIFIED, "h_contractor", witness=H.basis[:, j],
-            certificate={"invariance_residual": inv.residual},
-            note="subspace is not invariant")
-    nonexp = is_nonexpansive(A, norm, samples=samples, seed=seed)
-    if nonexp.falsified:
-        return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
-                                  witness=nonexp.witness,
-                                  certificate=nonexp.certificate,
-                                  note="matrix is expansive")
-    pn = partial_norm(A, H, norm, samples=samples, seed=seed)
-    cert = {"k": pn.value, "k_method": pn.method, "k_strategy": pn.strategy,
-            "subspace_dim": H.dim}
-    if not nonexp.certified:
-        return ContractionVerdict(Verdict.INCONCLUSIVE, "h_contractor",
-                                  certificate=cert, note=nonexp.note)
-    if pn.value >= 1.0:
-        return ContractionVerdict(Verdict.FALSIFIED, "h_contractor",
-                                  witness=pn.witness, certificate=cert)
-    if not pn.is_exact:
-        return ContractionVerdict(
-            Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
-            note="contraction ratio known only as a sampled lower bound")
-    if pn.value >= 1.0 - NORM_TOL:
-        return ContractionVerdict(
-            Verdict.INCONCLUSIVE, "h_contractor", certificate=cert,
-            note="contraction ratio within tolerance of 1")
-    return ContractionVerdict(Verdict.CERTIFIED, "h_contractor",
-                              certificate=cert)
+    return _Facts(A, norm, samples, seed).h_contractor(H)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +422,6 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
     displacement inequalities behind the rate bound.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     if _is_identity(A):
         para = ContractionVerdict(Verdict.CERTIFIED, "paracontracting",
                                   note="vacuous: the matrix moves no vector")
@@ -449,11 +451,10 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
             boundary="defective eigenvalue 1", agreement_ok=True,
             disagreement=None, proof_chain=None)
 
-    nu = additive_norm(base, pair.moving, pair.fixed)
-    nonexp = is_nonexpansive(A, nu, samples=budget, seed=seed)
-    kres = partial_norm(A, pair.moving, base, samples=budget, seed=seed)
+    facts = _Facts(A, additive_norm(base, pair.moving, pair.fixed), budget, seed)
+    kres = facts.partial(pair.moving)  # nu reduces to base on the moving part
     k = kres.value
-    hypotheses_ok = nonexp.certified and kres.is_exact
+    hypotheses_ok = facts.nonexpansive.certified and kres.is_exact
     boundary = None
     gamma = None
     if kres.is_exact and k >= 1.0 - NORM_TOL:
@@ -461,24 +462,20 @@ def equiv_theorem_audit(A, base: VectorNorm, *, budget: int = 2048,
     elif kres.is_exact and k < 1.0 - NORM_TOL:
         gamma = lp_gamma(k)
 
-    para = check_paracontracting(A, nu, budget, seed=seed)
-    hc = check_H_contractor(A, pair.moving, nu, samples=budget, seed=seed)
-    lpara = None
-    if gamma is not None:
-        lpara = check_l_paracontracting(A, nu, gamma, budget, seed=seed)
-    agreement_ok, disagreement = _audit_agreement(
-        {"l_paracontracting": lpara, "paracontracting": para,
-         "h_contractor": hc})
+    verdicts = {"l_paracontracting": None if gamma is None
+                else facts.l_paracontracting(gamma),
+                "paracontracting": facts.paracontracting(),
+                "h_contractor": facts.h_contractor(pair.moving)}
+    agreement_ok, disagreement = _audit_agreement(verdicts)
 
     chain = None
     if proof_samples > 0 and hypotheses_ok:
-        chain = _proof_chain_stats(A, nu, k, proof_samples, seed)
+        chain = _proof_chain_stats(A, facts.norm, k, proof_samples, seed)
 
     return EquivalenceAuditReport(
-        nonexpansive=nonexp, l_paracontracting=lpara, paracontracting=para,
-        h_contractor=hc, k=k, gamma=gamma, hypotheses_ok=hypotheses_ok,
-        boundary=boundary, agreement_ok=agreement_ok,
-        disagreement=disagreement, proof_chain=chain)
+        nonexpansive=facts.nonexpansive, **verdicts, k=k, gamma=gamma,
+        hypotheses_ok=hypotheses_ok, boundary=boundary,
+        agreement_ok=agreement_ok, disagreement=disagreement, proof_chain=chain)
 
 
 def _proof_chain_stats(A, nu: AdditiveNorm, k: float, samples: int,

@@ -61,9 +61,24 @@ def matrix_to_jsonable(A) -> list:
     return [[_json_float(v) for v in row] for row in A]
 
 
+def _real(v, i: int, j: int) -> float:
+    """Matrix entry (i, j) as a float.  It must be a JSON number: ``float``
+    would also read strings and booleans."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"matrix entry ({i},{j}) must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"matrix entry ({i},{j}) is too large for a float") \
+            from None
+
+
 def matrix_from_jsonable(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ConfigError("matrix must be a nonempty list of rows")
+    for i, row in enumerate(obj):
+        if not isinstance(row, list):
+            raise ConfigError(f"matrix row {i} must be a list, got {row!r}")
     complex_entries = any(isinstance(v, list) for row in obj for v in row)
     n = len(obj)
     A = np.zeros((n, len(obj[0])), dtype=complex if complex_entries else float)
@@ -76,9 +91,9 @@ def matrix_from_jsonable(obj) -> np.ndarray:
                 if len(v) != 2:
                     raise ConfigError(
                         f"complex entry at ({i},{j}) must be [re, im]")
-                A[i, j] = complex(float(v[0]), float(v[1]))
+                A[i, j] = complex(_real(v[0], i, j), _real(v[1], i, j))
             else:
-                A[i, j] = float(v)
+                A[i, j] = _real(v, i, j)
     return A
 
 

@@ -273,6 +273,10 @@ def test_norm_vector_in_the_matrix_entry_format(tmp_path):
     ("vector", [1.0, 2.0, 3.0]),          # length differs from the matrix
     ("vector", [1.0, [1, 2, 3]]),         # not an [re, im] pair
     ("subspace", {"kind": "span", "vectors": [[1.0, [1, 2, 3]]]}),
+    ("matrix", ["12", "34"]),             # rows written as strings
+    ("matrix", [[0.9, "0.2"], [0.1, 0.8]]),
+    ("matrix", [[True, False], [0, 1]]),  # JSON booleans are not numbers
+    ("vector", [1.0, [1, "2"]]),
 ])
 def test_norm_config_vectors_are_checked(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, "n.json", {"matrix": RUNNING, key: value})

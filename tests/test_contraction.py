@@ -310,6 +310,61 @@ def test_split_of_I_minus_A_is_computed_once(monkeypatch):
     assert calls == []
 
 
+def test_audit_draws_its_probes_and_its_moving_ratio_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    A, _, _, _ = random_semisimple_nonexpansive(4, rng, k=0.5)
+    calls = {"_standard_normal": 0, "partial_norm": 0}
+
+    def counting(name):
+        original = getattr(contraction, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(contraction, name, counting(name))
+    equiv_theorem_audit(A, L2, budget=200)
+    assert calls == {"_standard_normal": 1, "partial_norm": 1}
+
+
+def _verdict_bytes(v):
+    witness = None if v.witness is None else v.witness.tobytes()
+    return v.kind, v.note, v.budget_used, v.certificate, witness
+
+
+@pytest.mark.parametrize("base", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("scale", [1.0, 1.5], ids=["contracting", "expansive"])
+@pytest.mark.parametrize("moving_dim", [1, 2])
+def test_audit_verdicts_equal_the_public_checks(base, complex_field, scale,
+                                                moving_dim):
+    rng = np.random.default_rng(5)
+    A, _, _, _ = random_semisimple_nonexpansive(4, rng, k=0.5,
+                                                moving_dim=moving_dim,
+                                                complex_field=complex_field)
+    A = scale * A
+    budget, seed = 150, 2
+    rep = equiv_theorem_audit(A, base, budget=budget, seed=seed)
+    pair = norms.complementary_pair(A)
+    nu = make_additive_norm(base, pair.moving, pair.fixed)
+    expected = {
+        "nonexpansive": is_nonexpansive(A, nu, samples=budget, seed=seed),
+        "paracontracting": check_paracontracting(A, nu, budget, seed=seed),
+        "h_contractor": check_H_contractor(A, pair.moving, nu,
+                                           samples=budget, seed=seed),
+        "l_paracontracting": None if rep.gamma is None else
+        check_l_paracontracting(A, nu, rep.gamma, budget, seed=seed),
+    }
+    for name, v in expected.items():
+        got = getattr(rep, name)
+        if v is None:
+            assert got is None
+        else:
+            assert _verdict_bytes(got) == _verdict_bytes(v), name
+
+
 _E1, _E2 = np.eye(2)
 _DIAG = np.diag([1.0, 0.5])
 # One broken premise each: (A, H, K) for the additive norm over H + K.

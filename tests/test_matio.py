@@ -160,6 +160,19 @@ def test_bad_configs_raise():
         matio.matrix_from_jsonable([])
 
 
+@pytest.mark.parametrize("obj", [
+    ["12", "34"],
+    [[1.0, "2"]],
+    [[True, False], [0, 1]],
+    [[1.0, [0.5, None]]],
+    [[1.0, 2.0], 3.0],
+    [[10 ** 400]],
+])
+def test_matrix_entries_must_be_numbers(obj):
+    with pytest.raises(matio.ConfigError):
+        matio.matrix_from_jsonable(obj)
+
+
 def test_to_jsonable_handles_reports():
     from genprod.contraction import check_H_contractor
     from genprod.norms import mean_zero_subspace
