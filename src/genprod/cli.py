@@ -294,14 +294,21 @@ def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
     return report_path
 
 
+def _read_json(path: Path, what: str, **kwargs):
+    """The JSON object in a config or report file.  A file that cannot be
+    read or parsed, or holds no object, is a ConfigError."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"), **kwargs)
+    except (OSError, ValueError) as e:  # missing, unreadable, not UTF-8 or not JSON
+        raise matio.ConfigError(f"cannot read {what} file {path}: {e}") from None
+    if not isinstance(value, dict):
+        raise matio.ConfigError(f"{what} must be a JSON object")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise matio.ConfigError(f"config file not found: {cfg_path}")
-    try:
-        config = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise matio.ConfigError(f"config is not valid JSON: {e}") from None
+    config = _read_json(cfg_path, "config")
     for key in ("seed", "max_r", "threshold"):
         if vars(args).get(key) is not None:
             config[key] = vars(args)[key]
@@ -317,11 +324,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     rp = Path(args.report)
-    if not rp.exists():
-        raise matio.ConfigError(f"report file not found: {rp}")
     # Reports written before strict JSON may hold NaN or Infinity literals;
     # they parse to the strings that matio.to_jsonable writes for them.
-    stored = json.loads(rp.read_text(encoding="utf-8"),
+    stored = _read_json(rp, "report",
                         parse_constant=lambda c: matio.to_jsonable(float(c)))
     for key in ("schema", "subcommand", "config", "results", "traces"):
         if key not in stored:
@@ -332,7 +337,7 @@ def _cmd_replay(args) -> int:
     if "seed" not in stored["config"]:
         raise matio.ConfigError("report config carries no seed; cannot replay")
     if args.config is not None:
-        supplied = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        supplied = _read_json(Path(args.config), "config")
         supplied.setdefault("seed", 0)
         if _canonical_json(matio.to_jsonable(supplied)) != \
                 _canonical_json(stored["config"]):

@@ -515,21 +515,26 @@ def has_closed_form(norm: VectorNorm) -> bool:
 
 
 def operator_norms(S, norm: VectorNorm = L1) -> np.ndarray:
-    """Induced operator norm of each matrix of a stack S (m, n, n).
+    """Induced operator norm of each matrix of a stack S (m, n, n), and inf
+    for a matrix with a non-finite entry.
 
     The closed forms (l1, linf, weighted l1 and l2) take one numpy pass over
-    the whole stack and equal :func:`operator_norm` on each matrix bit for
-    bit; any other norm calls :func:`operator_norm` once per matrix, with its
-    default samples and seed.  Entries must be finite.
+    the finite matrices and equal :func:`operator_norm` on each bit for bit;
+    any other norm calls :func:`operator_norm` once per matrix, with its
+    default samples and seed.
     """
     S = np.asarray(S)
+    finite = np.isfinite(S).all(axis=(1, 2))
+    out, S = np.full(len(S), np.inf), S[finite]
     if not S.size:
-        return np.zeros(S.shape[0])
-    if not has_closed_form(norm):
-        return np.array([operator_norm(A, norm) for A in S])
-    if isinstance(norm, PNorm) and norm.p == 2.0:
-        return _top_singulars(S)[0]
-    return _abs_sums(S, norm).max(axis=1)
+        out[finite] = 0.0
+    elif not has_closed_form(norm):
+        out[finite] = [operator_norm(A, norm) for A in S]
+    elif isinstance(norm, PNorm) and norm.p == 2.0:
+        out[finite] = _top_singulars(S)[0]
+    else:
+        out[finite] = _abs_sums(S, norm).max(axis=1)
+    return out
 
 
 def operator_norm(A, norm: VectorNorm = L1, *, samples: int = 4096,

@@ -248,16 +248,20 @@ def stream_general_product(seq: MatrixSequence, sched: ProductSchedule,
     policies keep every factor fetched so far and recompute the full r-fold
     product each step, as a pairwise tree of O(log r) stacked
     multiplications.  At every step the factor multiset is positions
-    p+1..p+r of the permuted sequence, whatever the ordering.  The traces
-    share this product routine, :func:`_product_blocks`.
+    p+1..p+r of the permuted sequence, whatever the ordering.  A step's
+    ``matrix`` and ``factor`` are read-only.  Steps are formed in the traces'
+    blocks (:func:`_product_blocks`), so once step r is yielded the sequence
+    may have been read up to min(r - 1, BLOCK_CAP - 1) positions past p + r;
+    a factor's error is raised when its step is requested.
     """
     r, p, kind = 0, sched.p, sched.ordering.kind
-    for P, B, gathers in _product_blocks(seq, sched, max_r, cap=1):
-        r += 1
-        positions = (range(p + 1, p + r + 1) if kind == "left" else
-                     range(p + r, p, -1) if kind == "right" else
-                     tuple((gathers[0] + p + 1).tolist()))
-        yield ProductStep(r, P[0], B[0], positions, sched.permutation)
+    for P, B, gathers in _product_blocks(seq, sched, max_r):
+        for j in range(len(P)):
+            r += 1
+            positions = (range(p + 1, p + r + 1) if kind == "left" else
+                         range(p + r, p, -1) if kind == "right" else
+                         tuple((gathers[j] + p + 1).tolist()))
+            yield ProductStep(r, P[j], B[j], positions, sched.permutation)
 
 
 def _gather(ordering: Ordering, p: int, r: int) -> np.ndarray:
@@ -283,21 +287,22 @@ def _tree_product(X: np.ndarray) -> np.ndarray:
 
 
 def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
-                    cap: int, check=None) -> Iterator[tuple]:
+                    cap: int = BLOCK_CAP, check=None) -> Iterator[tuple]:
     """The products of :func:`stream_general_product` in blocks of 1, 2, 4,
     ... up to ``cap`` steps, as (P, B, gathers): the products and the
-    entering factors, both (k, n, n), and each re-ordered step's
-    :func:`_gather`.  A nested step is one multiplication, a re-ordered one a
-    :func:`_tree_product` over the factors fetched so far, both with numpy's
-    overflow warnings off: an overflow shows as inf or NaN in P.
+    entering factors, both (k, n, n) and read-only, and each re-ordered
+    step's :func:`_gather`.  A nested step is one multiplication, a
+    re-ordered one a :func:`_tree_product` over the factors fetched so far,
+    both with numpy's overflow warnings off: an overflow shows as inf or NaN
+    in P.  A block of mixed dtypes is yielded one step at a time.
 
-    A rule sequence's factors are fetched in step order by ``seq.factor``,
-    then ``check[0]`` if given.  A built family's members get one stacked
-    finiteness test, and the mask ``check[1]`` if given, per block; a member
-    that fails is fetched and checked alone, which raises its error.  The
+    Each factor is tested as it is fetched, in step order: finite, and the
+    mask ``check[1]`` if given.  A built family's members are tested once,
+    stacked, and one that passes is used as it is.  Any other factor comes
+    from ``seq.factor``, which raises for a malformed one, and is masked
+    alone; ``check[0]`` runs only where the mask fails, and raises.  The
     first step that fails ends its block: the steps before it are yielded,
-    then the error is raised.  A block of mixed dtypes is yielded one step at
-    a time.
+    then the error is raised.
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
@@ -307,54 +312,52 @@ def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
             f"explicit ordering lists {len(ordering.orders)} steps, "
             f"max_r={max_r} requested")
     family = seq.rule if isinstance(seq.rule, _Family) else None
+    if family is not None:
+        S = np.stack(family.mats)
+        ok = np.isfinite(S).all(axis=(1, 2))
+        if check is not None:
+            ok &= check[1](S)
 
-    def fetch(i):
-        return seq.factor(i) if check is None else check[0](seq.factor(i))
+    def get(i):
+        if family is not None and ok[(i - 1) % len(ok)]:
+            return family(i)
+        A = seq.factor(i)
+        if check is not None and not check[1](A[None])[0]:
+            check[0](A)
+        return A
 
-    get, left = fetch if family is None else family, ordering.kind == "left"
+    left = ordering.kind == "left"
     r, size, C, F = 0, 1, None, None
     while r < max_r:
-        mats, gathers, idxs, error = [], [], [], None
+        mats, gathers, error = [], [], None
         try:
             for s in range(r + 1, min(r + size, max_r) + 1):
                 if not ordering.incremental:
                     gathers.append(_gather(ordering, p, s))
-                idxs.append(perm.index_at(p + s))
-                mats.append(get(idxs[-1]))
+                mats.append(get(perm.index_at(p + s)))
         except Exception as exc:
             error = exc
         if not mats:
             raise error
-        B = np.stack(mats) if len(mats) > 1 else mats[0][None]
-        if family is not None:
-            ok = np.isfinite(B).all(axis=(1, 2))
-            if check is not None:
-                ok &= check[1](B)
-            for j in np.flatnonzero(~ok):
-                try:
-                    fetch(idxs[j])
-                except Exception as exc:
-                    del mats[j:]
-                    B, error = B[:j], exc
-                    break
         del gathers[len(mats):]
-        mixed = any(A.dtype != B.dtype for A in mats)
-        for lo in range(0, len(mats), 1 if mixed else len(mats) or 1):
-            hi = lo + 1 if mixed else len(mats)
-            Bg, g = (mats[lo][None] if mixed else B), gathers[lo:hi]
+        step = 1 if any(A.dtype != mats[0].dtype for A in mats) else len(mats)
+        for lo in range(0, len(mats), step):
+            group, g = mats[lo:lo + step], gathers[lo:lo + step]
+            B = np.stack(group)
+            B.setflags(write=False)
             with np.errstate(over="ignore", invalid="ignore"):
                 if ordering.incremental:
                     prods = []
-                    for A in mats[lo:hi]:
+                    for A in group:
                         C = A if C is None else C @ A if left else A @ C
                         prods.append(C)
                 else:
-                    F = Bg if F is None else np.concatenate([F, Bg])
+                    F = B if F is None else np.concatenate([F, B])
                     prods = [_tree_product(F[offsets]) for offsets in g]
             P = np.stack(prods)
-            P.setflags(write=False)  # a streamed step's matrix is read-only
-            yield P, Bg, g
-            r += hi - lo
+            P.setflags(write=False)
+            yield P, B, g
+            r += len(B)
         if error is not None:
             raise error
         size = min(2 * size, cap)
@@ -378,49 +381,35 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
         raise ValueError("r_max must be >= 1")
     factors = [seq.factor(permutation.index_at(p + i)) for i in range(1, r_max + 1)]
     if any(A.dtype != factors[0].dtype for A in factors):
-        mus = np.concatenate([_block_norms(A[None], norm) for A in factors])
+        mus = np.concatenate([operator_norms(A[None], norm) for A in factors])
     else:
-        mus = _block_norms(np.stack(factors), norm)
+        mus = operator_norms(np.stack(factors), norm)
     return partial_sum_diagnostics(mus).plus_products
 
 
 def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
                measure, *, cap: int = BLOCK_CAP, check=None) -> tuple:
     """The trace loop of :func:`monitor_convergence` and
-    :func:`weak_ergodicity_experiment`: (values, second values or None,
-    stopped).
+    :func:`weak_ergodicity_experiment`: (stopped, *arrays).
 
     Each block of :func:`_product_blocks` (``cap``, ``check``) is measured
     whole, with numpy's overflow and invalid-value warnings off:
-    ``measure(P, B)`` gives every step's value, a second value per step or
-    None, and a mask of the steps that stop the trace.  The values are kept
-    up to and including the first stopping step.  So the sequence is read
-    at most ``cap - 1`` steps past the stop, and a step's error is raised
-    only if no step before it stopped the trace.
+    ``measure(P, B)`` gives (stop, *arrays), a mask of the steps that stop
+    the trace and arrays of per-step values.  The values are kept up to and
+    including the first stopping step.  So the sequence is read at most
+    ``cap - 1`` steps past the stop, and a step's error is raised only if no
+    step before it stopped the trace.
     """
-    values, seconds = [], []
+    kept = []
     for P, B, _ in _product_blocks(seq, sched, max_r, cap, check):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals, svals, stop = measure(P, B)
+            stop, *arrays = measure(P, B)
         stops = np.flatnonzero(stop)
-        k = stops[0] + 1 if stops.size else len(vals)
-        values.append(vals[:k])
-        if svals is not None:
-            seconds.append(svals[:k])
+        k = stops[0] + 1 if stops.size else len(stop)
+        kept.append([a[:k] for a in arrays])
         if stops.size:
             break
-    return (np.concatenate(values), np.concatenate(seconds) if seconds else None,
-            bool(stops.size))
-
-
-def _block_norms(S: np.ndarray, norm: VectorNorm) -> np.ndarray:
-    """Operator norm of each matrix of a stack S (m, n, n), as
-    :func:`operator_norm` gives it; inf for a matrix with a non-finite
-    entry."""
-    finite = np.isfinite(S).all(axis=(1, 2))
-    out = np.full(len(S), np.inf)
-    out[finite] = operator_norms(S[finite], norm)
-    return out
+    return (bool(stops.size), *map(np.concatenate, zip(*kept)))
 
 
 @dataclass(frozen=True)
@@ -477,14 +466,14 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
         raise ValueError("threshold must be positive")
 
     def measure(P, B):
-        mus = _block_norms(P, norm)
+        mus = operator_norms(P, norm)
         stop = ~(mus <= OVERFLOW_LIMIT)
         if threshold is not None:
             stop |= np.maximum(mus, UNDERFLOW_CLAMP) < threshold
-        return mus, _block_norms(B, norm), stop
+        return stop, mus, operator_norms(B, norm)
 
     # A sampled norm is measured one step at a time: none is spent past the stop.
-    raw, factor_mus, stopped = _run_trace(
+    stopped, raw, factor_mus = _run_trace(
         seq, sched, max_r, measure, cap=BLOCK_CAP if has_closed_form(norm) else 1)
     low = np.flatnonzero(raw < UNDERFLOW_CLAMP)
     mus = np.maximum(raw, UNDERFLOW_CLAMP)

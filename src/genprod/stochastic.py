@@ -212,11 +212,11 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
 
     def measure(P, B):
         w = _coefficients(P)
-        return w, None, w < threshold
+        return w < threshold, w
 
     runs = []
     for sched in schedules:
-        values, _, crossed = _run_trace(
+        crossed, values = _run_trace(
             seq, sched, max_r, measure, check=(validate_stochastic, _stochastic_mask))
         runs.append(ScheduleErgodicityResult(
             schedule=sched, rs=np.arange(1, len(values) + 1), coefficients=values,

@@ -486,6 +486,39 @@ def test_replay_requires_complete_report(tmp_path):
     assert main(["replay", "--report", str(p)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("case", ["replay config missing", "replay config array",
+                                  "replay config invalid", "replay config directory",
+                                  "run config directory", "run config array",
+                                  "report directory", "report invalid",
+                                  "report array"])
+def test_unreadable_files_exit_validation_without_a_traceback(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, "n.json", {"matrix": [[1.0]]})
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    report, folder = str(tmp_path / "norm.json"), str(tmp_path)
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = {
+        "replay config missing": ["replay", "--report", report,
+                                  "--config", str(tmp_path / "missing.json")],
+        "replay config array": ["replay", "--report", report,
+                                "--config", str(tmp_path / "array.json")],
+        "replay config invalid": ["replay", "--report", report,
+                                  "--config", str(tmp_path / "bad.json")],
+        "replay config directory": ["replay", "--report", report, "--config", folder],
+        "run config directory": ["norm", "--config", folder, "--out", folder],
+        "run config array": ["norm", "--config", str(tmp_path / "array.json"),
+                             "--out", folder, "--seed", "1"],
+        "report directory": ["replay", "--report", folder],
+        "report invalid": ["replay", "--report", str(tmp_path / "bad.json")],
+        "report array": ["replay", "--report", str(tmp_path / "array.json")],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "n.json", {"matrix": [[1.0]]})
     # the child imports the same genprod, installed or not

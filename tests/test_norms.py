@@ -238,6 +238,20 @@ def test_stacked_norms_without_closed_form_call_operator_norm_per_matrix():
     assert operator_norms(np.zeros((4, 0, 0)), L2).tolist() == [0.0] * 4
 
 
+@pytest.mark.parametrize("norm", [L1, L2, LINF, "weighted", "additive"])
+def test_stacked_operator_norms_are_inf_for_a_non_finite_matrix(norm):
+    if norm == "weighted":
+        norm = WeightedL1([0.5, 1.0, 2.0])
+    elif norm == "additive":
+        H = Subspace.span([1, 1, 0], [0, 0, 1])
+        norm = additive_norm(LINF, H, H.orthogonal_complement())
+    S = np.random.default_rng(6).standard_normal((6, 3, 3))
+    S[1, 0, 2], S[3, 2, 1], S[4, 1, 1] = np.nan, np.inf, -np.inf
+    got = operator_norms(S, norm)
+    assert got[[1, 3, 4]].tolist() == [np.inf] * 3
+    assert got[[0, 2, 5]].tolist() == [operator_norm(S[i], norm) for i in (0, 2, 5)]
+
+
 def test_stacked_column_pair_distances_equal_single_calls():
     rng = np.random.default_rng(22)
     for n in range(2, 9):

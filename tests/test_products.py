@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from genprod import stochastic
 from genprod.norms import InvarianceError, L1, L2, LINF, Subspace, WeightedL1
 from genprod.norms import mean_zero_subspace, operator_norm
 from genprod.products import (
@@ -729,3 +730,87 @@ def test_threshold_is_compared_with_the_clamped_value():
     trace = monitor_convergence(seq, ProductSchedule(), L1, 1e-310, 2)
     assert trace.crossed_at is None and trace.clamped_from == 2
     assert trace.status.kind == "exhausted"
+
+
+GOOD = np.array([[0.9, 0.2], [0.1, 0.8]])
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = Counter()
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_valid_rule_factors_never_reach_the_stochastic_validator(monkeypatch):
+    calls = _counting(monkeypatch, stochastic, "validate_stochastic")
+    seq = MatrixSequence(n=2, rule=lambda i: GOOD)
+    run = weak_ergodicity_experiment(seq, [ProductSchedule()], 1e-300, 200).runs[0]
+    assert run.status == "exhausted" and len(run.coefficients) == 200
+    assert calls["validate_stochastic"] == 0
+
+
+def test_family_members_are_tested_once_per_trace(monkeypatch):
+    calls = _counting(monkeypatch, stochastic, "_stochastic_mask")
+    calls.update(_counting(monkeypatch, stochastic, "validate_stochastic"))
+    seq = MatrixSequence.periodic([np.array([[0.98, 0.03], [0.02, 0.97]]),
+                                   np.array([[0.99, 0.02], [0.01, 0.98]]),
+                                   np.array([[0.96, 0.02], [0.04, 0.98]])])
+    run = weak_ergodicity_experiment(seq, [ProductSchedule()], 1e-300, 200).runs[0]
+    assert run.status == "exhausted" and len(run.coefficients) == 200
+    assert calls == {"_stochastic_mask": 1}
+
+
+@pytest.mark.parametrize("ordering", ["left", "right", "random"])
+def test_streamed_step_arrays_are_read_only_for_rules_and_families(ordering):
+    A = np.array([[0.5, 0.25], [0.5, 0.75]])
+    sched = ProductSchedule(ordering=Ordering(ordering, seed=1))
+    rule = MatrixSequence(n=2, rule=lambda i: A)
+    for seq in (rule, MatrixSequence.periodic([A.copy()])):
+        for step in stream_general_product(seq, sched, 70):
+            assert not step.matrix.flags.writeable, step.r
+            assert not step.factor.flags.writeable, step.r
+    assert A.flags.writeable  # the rule's own array is not frozen
+
+
+def test_stream_reads_at_most_one_block_past_the_last_step_taken():
+    for k in (1, 2, 3, 4, 7, 8, 40, 63, 64, 65, 127, 128, 200, 300):
+        seq, fetched = _stopping_sequence(0, np.eye(2))  # identity throughout
+        for step in stream_general_product(seq, ProductSchedule(), 1000):
+            if step.r == k:
+                break
+        assert fetched == list(range(1, len(fetched) + 1))
+        assert k <= len(fetched) <= k + min(k - 1, BLOCK_CAP - 1), k
+
+
+def test_norm_traces_stay_under_the_envelope_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    eps = np.finfo(float).eps
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+               members=st.integers(1, 3), max_r=st.integers(1, 40),
+               ordering=st.sampled_from(["left", "right", "random", "explicit"]),
+               permutation=st.sampled_from(["identity", "prefix", "block_shuffle"]),
+               norm=st.sampled_from([L1, L2, LINF]))
+    def prop(seed, n, members, max_r, ordering, permutation, norm):
+        rng = np.random.default_rng(seed)
+        mats = [rng.uniform(0.5, 1.5) * rng.dirichlet(np.ones(n), size=n).T
+                for _ in range(members)]
+        seq = MatrixSequence.periodic(mats)
+        sched = _schedule(ordering, permutation, max_r=max_r)
+        trace = monitor_convergence(seq, sched, norm, None, max_r)
+        steps = list(stream_general_product(seq, sched, max_r))
+        assert trace.mus.tolist() == [operator_norm(s.matrix, norm) for s in steps]
+        slack = 2 * (trace.rs + 1) * n * eps
+        assert (trace.mus <= trace.envelope * (1 + slack)).all()
+
+    prop()
