@@ -93,6 +93,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _int(config: dict, key: str, default=None) -> int:
+    """config[key] as a JSON integer; a required key when no default is given."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    return matio.json_int(value, f"config key {key!r}")
+
+
 def _trace_rows(*arrays):
     return [list(vals) for vals in zip(*[list(a) for a in arrays])]
 
@@ -100,7 +106,7 @@ def _trace_rows(*arrays):
 def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
     A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-    seed = int(config.get("seed", 0))
+    seed = config["seed"]
     results = {"dimension": A.shape[0],
                "operator_norm": operator_norm(A, norm, seed=seed)}
     if "vector" in config:
@@ -109,7 +115,7 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
         res = partial_norm(A, H, norm, seed=seed,
-                           samples=int(config.get("samples", 4096)))
+                           samples=_int(config, "samples", 4096))
         results["partial_norm"] = res
     return results, {}
 
@@ -117,8 +123,8 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
 def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
     A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-    seed = int(config.get("seed", 0))
-    budget = int(config.get("budget", 2048))
+    seed = config["seed"]
+    budget = _int(config, "budget", 2048)
     results = {
         "nonexpansive": contraction.is_nonexpansive(A, norm, seed=seed,
                                                     samples=budget),
@@ -132,14 +138,14 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
     if config.get("audit", False):
         results["audit"] = contraction.equiv_theorem_audit(
             A, norm, budget=budget, seed=seed,
-            proof_samples=int(config.get("proof_samples", 0)))
+            proof_samples=_int(config, "proof_samples", 0))
     return results, {}
 
 
 def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-    max_r = int(_require(config, "max_r"))
+    max_r = _int(config, "max_r")
     threshold = config.get("threshold")
     threshold = float(threshold) if threshold is not None else None
     scheds = [matio.schedule_from_config(s)
@@ -176,7 +182,7 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
         seq = products.MatrixSequence(
             n=inner.n, rule=lambda i: stochastic.repair_stochastic(
                 inner.factor(i)), name=f"{inner.name}|repaired")
-    max_r = int(_require(config, "max_r"))
+    max_r = _int(config, "max_r")
     threshold = float(_require(config, "threshold"))
     scheds = [matio.schedule_from_config(s)
               for s in _require(config, "schedules")]
@@ -217,7 +223,7 @@ def run_spectral(config: dict, base_dir: Path) -> tuple[dict, dict]:
         if config.get("high_modulus", False):
             norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
             results["high_modulus"] = spectral.high_modulus_bound(
-                A, H, norm, lam, seed=int(config.get("seed", 0)))
+                A, H, norm, lam, seed=config["seed"])
     if config.get("stochastic_simple_one", False):
         results["simple_one"] = spectral.stochastic_simple_one(A)
     return results, {}
@@ -239,7 +245,7 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     if not isinstance(config, dict):
         raise matio.ConfigError("config must be a JSON object")
     resolved = dict(config)
-    resolved.setdefault("seed", 0)
+    resolved["seed"] = _int(resolved, "seed", 0)
     results, traces = RUNNERS[subcommand](resolved, base_dir)
     return matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
                               "config": resolved, "results": results,

@@ -142,7 +142,8 @@ class _Facts:
     @cached_property
     def nonexpansive(self) -> ContractionVerdict:
         value, witness, exact = _operator_norm_detail(
-            self.A, self.norm, samples=self.budget, seed=self.seed)
+            self.A, self.norm, samples=self.budget, seed=self.seed,
+            partial=self.partial)
         cert = {"operator_norm": value, "exact": exact}
         if value > 1.0 + NORM_TOL:
             return ContractionVerdict(Verdict.FALSIFIED, "nonexpansive",

@@ -44,6 +44,14 @@ def _get(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def json_int(v, what: str) -> int:
+    """A config integer.  It must be a JSON integer: ``int`` would also read
+    3.9 as 3, true as 1 and "7" as 7."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -168,9 +176,12 @@ def matrix_from_config(obj, base_dir: Path | None = None) -> np.ndarray:
             path = base_dir / path
         if not path.exists():
             raise ConfigError(f"matrix file not found: {path}")
-        if path.suffix.lower() == ".csv":
-            return load_matrix_csv(path)
-        return load_matrix_json(path)
+        try:
+            if path.suffix.lower() == ".csv":
+                return load_matrix_csv(path)
+            return load_matrix_json(path)
+        except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable, not UTF-8
+            raise ConfigError(f"cannot read matrix file {path}: {e}") from None
     return as_matrix(matrix_from_jsonable(obj))
 
 
@@ -257,12 +268,10 @@ def subspace_from_config(cfg) -> Subspace:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("subspace config must be an object with a 'kind'")
     kind = cfg["kind"]
-    if kind == "mean_zero":
-        return mean_zero_subspace(int(_get(cfg, "n", "subspace")))
-    if kind == "full":
-        return Subspace.full(int(_get(cfg, "n", "subspace")))
-    if kind == "zero":
-        return Subspace.zero(int(_get(cfg, "n", "subspace")))
+    if kind in ("mean_zero", "full", "zero"):
+        n = json_int(_get(cfg, "n", "subspace"), "subspace 'n'")
+        return {"mean_zero": mean_zero_subspace, "full": Subspace.full,
+                "zero": Subspace.zero}[kind](n)
     if kind == "span":
         vecs = cfg.get("vectors", [])
         if not vecs:
@@ -352,10 +361,12 @@ def permutation_from_config(cfg) -> Permutation:
         return Permutation()
     if kind == "prefix":
         return Permutation("prefix", prefix=tuple(
-            int(v) for v in _get(cfg, "values", "permutation")))
+            json_int(v, "prefix value")
+            for v in _get(cfg, "values", "permutation")))
     if kind == "block_shuffle":
-        return Permutation("block_shuffle", block=int(cfg.get("block", 2)),
-                           seed=int(cfg.get("seed", 0)))
+        return Permutation(
+            "block_shuffle", block=json_int(cfg.get("block", 2), "permutation 'block'"),
+            seed=json_int(cfg.get("seed", 0), "permutation 'seed'"))
     raise ConfigError(f"unknown permutation kind {kind!r}")
 
 
@@ -378,10 +389,11 @@ def ordering_from_config(cfg) -> Ordering:
     if kind in ("left", "right"):
         return Ordering(kind)
     if kind == "random":
-        return Ordering("random", seed=int(cfg.get("seed", 0)))
+        return Ordering("random", seed=json_int(cfg.get("seed", 0), "ordering 'seed'"))
     if kind == "explicit":
         return Ordering("explicit", orders=tuple(
-            tuple(int(x) for x in row) for row in cfg.get("orders", [])))
+            tuple(json_int(x, "ordering 'orders' entry") for x in row)
+            for row in cfg.get("orders", [])))
     raise ConfigError(f"unknown ordering kind {kind!r}")
 
 
@@ -397,7 +409,7 @@ def schedule_from_config(cfg) -> ProductSchedule:
     if not isinstance(cfg, dict):
         raise ConfigError("schedule config must be an object")
     return ProductSchedule(
-        p=int(cfg.get("p", 0)),
+        p=json_int(cfg.get("p", 0), "schedule 'p'"),
         permutation=permutation_from_config(cfg.get("permutation")),
         ordering=ordering_from_config(cfg.get("ordering")),
         label=cfg.get("label", ""))

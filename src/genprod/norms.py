@@ -556,8 +556,23 @@ def operator_norm(A, norm: VectorNorm = L1, *, samples: int = 4096,
     return value
 
 
-def _operator_norm_detail(A, norm, *, samples=4096, seed=0):
-    """(value, witness, exact) triples backing operator_norm and verdicts."""
+def _within_a_part(norm: AdditiveNorm, H: Subspace) -> bool:
+    """Does H lie in a part of the additive norm?  The norm agrees with its
+    base norm on each of its parts, so there it reduces to the base norm."""
+    tol = 1e-9 * np.sqrt(max(H.dim, 1))
+    return any(part.dim >= H.dim and float(np.linalg.norm(
+        H.basis - part.basis @ (part.basis.conj().T @ H.basis))) <= tol
+        for part in (norm.H, norm.K))
+
+
+def _operator_norm_detail(A, norm, *, samples=4096, seed=0, partial=None):
+    """(value, witness, exact) triples backing operator_norm and verdicts.
+
+    ``partial(H)``, when given, is the caller's ``partial_norm(A, H, norm)``
+    with these samples and seed.  An additive norm reads its invariant parts'
+    ratios from it wherever it reduces to the base norm, so a ratio the
+    caller already holds is not searched for twice.
+    """
     n = A.shape[0]
     if isinstance(norm, PNorm) and norm.p == 2.0:
         val, vec = _top_singular(A)
@@ -586,8 +601,11 @@ def _operator_norm_detail(A, norm, *, samples=4096, seed=0):
                     b = part.basis[:, 0]
                     candidates.append((1.0, _readonly(b / norm.base(b))))
                     continue
-                r = partial_norm(A, part, norm.base, samples=samples, seed=seed,
-                                 check=False)
+                if partial and _within_a_part(norm, part):
+                    r = partial(part)
+                else:
+                    r = partial_norm(A, part, norm.base, samples=samples,
+                                     seed=seed, check=False)
                 exact = exact and r.is_exact
                 candidates.append((r.value, r.witness))
             if not candidates:
@@ -735,29 +753,39 @@ def _ratios(A, H: Subspace, norm: VectorNorm, C: np.ndarray) -> np.ndarray:
 
 
 def _pattern_refine(A, H: Subspace, norm: VectorNorm,
-                    c0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pattern search over unit coordinate vectors, steps shrinking to 1e-7.
+                    starts: list[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+    """Pattern search over unit coordinate vectors from each start vector,
+    steps shrinking to 1e-7; returns (c, value) per start, in start order.
 
-    Each sweep scores all moves c +- step e_i (and +- i step e_i for complex
-    c0) with one :func:`_ratios` call and keeps the best; a sweep that gains
-    nothing halves the step.  No move vanishes: |c| = 1 and step <= 1/2.
+    The starts move in lockstep.  Each sweep stacks the moves c +- step e_i
+    (and +- i step e_i over the complex field) of every start whose step is
+    still above 1e-7, and scores them all with one :func:`_ratios` call.
+    Each start then takes its best move (the first on ties) if it gains, or
+    halves its own step.  So every start follows the path it would follow
+    alone, as long as the norm and the matrix products round each column the
+    same at any batch width; only the number of scoring calls drops, to one
+    per sweep of the slowest start.  A start's first value is scored on its
+    own.  No move vanishes: |c| = 1 and step <= 1/2.
     """
-    c = c0 / np.linalg.norm(c0)
-    best = float(_ratios(A, H, norm, c[:, None])[0])
-    units = np.eye(c.shape[0])
+    cs = [c0 / np.linalg.norm(c0) for c0 in starts]
+    bests = [float(_ratios(A, H, norm, c[:, None])[0]) for c in cs]
+    d = cs[0].shape[0]
+    units = np.eye(d)
     units = np.hstack([units, -units, 1j * units, -1j * units]
-                      if np.iscomplexobj(c) else [units, -units])
-    step = 0.5
-    while step > 1e-7:
-        cand = c[:, None] + step * units
-        cand /= np.linalg.norm(cand, axis=0)
-        vals = _ratios(A, H, norm, cand)
-        k = int(np.argmax(vals))
-        if vals[k] > best * (1 + 1e-14) + 1e-300:
-            c, best = cand[:, k], float(vals[k])
-        else:
-            step *= 0.5
-    return c, best
+                      if np.iscomplexobj(cs[0]) else [units, -units])
+    steps = np.full(len(cs), 0.5)
+    while (live := np.flatnonzero(steps > 1e-7)).size:
+        cand = np.array([cs[j] for j in live])[:, :, None] + \
+            steps[live, None, None] * units
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        vals = _ratios(A, H, norm, cand.transpose(1, 0, 2).reshape(d, -1))
+        vals = vals.reshape(live.size, -1)
+        for i, (j, k) in enumerate(zip(live, vals.argmax(axis=1))):
+            if vals[i, k] > bests[j] * (1 + 1e-14) + 1e-300:
+                cs[j], bests[j] = cand[i, :, k], float(vals[i, k])
+            else:
+                steps[j] *= 0.5
+    return list(zip(cs, bests))
 
 
 def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
@@ -770,8 +798,9 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
       * one-dimensional H: direct evaluation on the basis vector;
       * l1 norm with H the sum-zero hyperplane: exact column-pair form;
       * l2 norm: spectral norm of A restricted to H (machine tolerance);
-      * anything else: multi-start sampling on the unit sphere of H plus
-        coordinate-wise pattern refinement.  The result is then a certified
+      * anything else: multi-start sampling on the unit sphere of H, then
+        coordinate-wise pattern refinement of the three best probes in
+        lockstep (:func:`_pattern_refine`).  The result is then a certified
         lower bound whose tightness is heuristic.
 
     ``route="sample"`` forces the sampling optimizer (useful as an
@@ -792,16 +821,9 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
         _require_invariance(A, H)
 
     if route != "sample":
-        # An additive norm agrees with its base norm on each of its parts, so
-        # a subspace contained in one part reduces to the base norm there.
-        if isinstance(norm, AdditiveNorm):
-            for part in (norm.H, norm.K):
-                if part.dim >= H.dim and \
-                        float(np.linalg.norm(H.basis - part.basis @ (
-                            part.basis.conj().T @ H.basis))) <= 1e-9 * np.sqrt(max(H.dim, 1)):
-                    return partial_norm(A, H, norm.base, route=route,
-                                        samples=samples, seed=seed,
-                                        check=False)
+        if isinstance(norm, AdditiveNorm) and _within_a_part(norm, H):
+            return partial_norm(A, H, norm.base, route=route, samples=samples,
+                                seed=seed, check=False)
         if H.dim == 1:
             b = H.basis[:, 0]
             nb = norm(b)
@@ -831,8 +853,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     order = np.argsort(ratios)[::-1]
     best_c = C[:, order[0]]
     best = float(ratios[order[0]])
-    for idx in order[:3]:
-        c_ref, val = _pattern_refine(A, H, norm, C[:, idx])
+    for c_ref, val in _pattern_refine(A, H, norm, [C[:, i] for i in order[:3]]):
         if val > best:
             best, best_c = val, c_ref
     w = H.basis @ best_c

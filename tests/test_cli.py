@@ -519,6 +519,48 @@ def test_unreadable_files_exit_validation_without_a_traceback(tmp_path, capsys, 
     assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("name", ["m.json", "m.csv"])
+def test_matrix_file_that_is_a_directory_exits_validation(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    cfg = write_config(tmp_path, "n.json", {"matrix": {"file": name}})
+    assert main(["norm", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    err = json.loads(err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "cannot read matrix file" in err["message"]
+
+
+INTEGER_KEYS = {
+    "norm seed": ("norm", {"matrix": RUNNING, "seed": "7"}),
+    "norm samples": ("norm", {"matrix": RUNNING, "samples": True,
+                              "subspace": {"kind": "full", "n": 2}}),
+    "classify budget": ("classify", {"matrix": RUNNING, "budget": 2.0}),
+    "classify proof_samples": ("classify", {"matrix": RUNNING, "audit": True,
+                                            "proof_samples": 1.5}),
+    "spectral seed": ("spectral", {"matrix": RUNNING, "eigenvalue": 1.0,
+                                   "seed": 0.5}),
+    "product max_r": ("product", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "max_r": 3.9}),
+    "ergodicity max_r": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "threshold": 1e-8, "max_r": 3.9}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_KEYS))
+def test_config_integers_must_be_json_integers(tmp_path, capsys, case):
+    sub, payload = INTEGER_KEYS[case]
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert "must be an integer" in err["message"]
+    assert not (tmp_path / f"{sub}.json").exists()
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "n.json", {"matrix": [[1.0]]})
     # the child imports the same genprod, installed or not

@@ -329,6 +329,25 @@ def test_audit_draws_its_probes_and_its_moving_ratio_once(monkeypatch):
     assert calls == {"_standard_normal": 1, "partial_norm": 1}
 
 
+@pytest.mark.parametrize("base", [L1, LINF], ids=["l1", "linf"])
+def test_audit_runs_one_sampled_search_for_its_moving_ratio(monkeypatch, base):
+    # the nonexpansive verdict reads the moving ratio the audit already holds
+    rng = np.random.default_rng(4)
+    A, _, _, _ = random_semisimple_nonexpansive(5, rng, k=0.5, moving_dim=3)
+    searches = []
+    probe = norms._probe_coords
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "_probe_coords", counting)
+    rep = equiv_theorem_audit(A, base, budget=200, seed=1)
+    assert len(searches) == 1
+    assert rep.nonexpansive.certificate == {"operator_norm": 1.0, "exact": False}
+    assert rep.h_contractor.certificate["k"] == rep.k < 1.0
+
+
 def _verdict_bytes(v):
     witness = None if v.witness is None else v.witness.tobytes()
     return v.kind, v.note, v.budget_used, v.certificate, witness

@@ -57,6 +57,18 @@ def test_matrix_from_config_file_reference(tmp_path):
         matio.matrix_from_config({"file": "missing.json"}, base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("name", ["m.json", "m.csv"])
+@pytest.mark.parametrize("make", ["directory", "not utf-8"])
+def test_matrix_file_that_cannot_be_read_is_a_config_error(tmp_path, name, make):
+    path = tmp_path / name
+    if make == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe[[1.0]]\n")
+    with pytest.raises(matio.ConfigError, match="cannot read matrix file"):
+        matio.matrix_from_config({"file": name}, base_dir=tmp_path)
+
+
 @pytest.mark.parametrize("norm", [
     L1, L2, WeightedL1(np.array([1.0, 2.0])),
     additive_norm(L2, Subspace.span([1, -1]), Subspace.span([1, 1])),
@@ -171,6 +183,33 @@ def test_bad_configs_raise():
 def test_matrix_entries_must_be_numbers(obj):
     with pytest.raises(matio.ConfigError):
         matio.matrix_from_jsonable(obj)
+
+
+@pytest.mark.parametrize("value", [3.9, 3.0, True, "7", None, [3]])
+def test_config_integers_must_be_json_integers(value):
+    with pytest.raises(matio.ConfigError, match="must be an integer"):
+        matio.json_int(value, "max_r")
+    assert matio.json_int(7, "max_r") == 7
+
+
+@pytest.mark.parametrize("reader,cfg", [
+    (matio.subspace_from_config, {"kind": "mean_zero", "n": 3.0}),
+    (matio.subspace_from_config, {"kind": "full", "n": True}),
+    (matio.subspace_from_config, {"kind": "zero", "n": "2"}),
+    (matio.schedule_from_config, {"p": 1.5}),
+    (matio.schedule_from_config, {"permutation": {"kind": "prefix",
+                                                  "values": [1, 0.0]}}),
+    (matio.schedule_from_config, {"permutation": {"kind": "block_shuffle",
+                                                  "block": 2.5}}),
+    (matio.schedule_from_config, {"permutation": {"kind": "block_shuffle",
+                                                  "seed": "1"}}),
+    (matio.schedule_from_config, {"ordering": {"kind": "random", "seed": 1.0}}),
+    (matio.schedule_from_config, {"ordering": {"kind": "explicit",
+                                               "orders": [[1, False]]}}),
+])
+def test_config_readers_take_only_json_integers(reader, cfg):
+    with pytest.raises(matio.ConfigError, match="must be an integer"):
+        reader(cfg)
 
 
 def test_to_jsonable_handles_reports():

@@ -18,6 +18,7 @@ from genprod.norms import (
     VectorNorm,
     WeightedL1,
     _probe_coords,
+    _ratios,
     additive_norm,
     as_matrix,
     check_invariance,
@@ -789,6 +790,107 @@ def test_sampling_route_scores_in_batches():
     assert norm.scalar <= 1  # the witness normalization
     assert norm.batches > 0
     assert res.value <= ergodicity_coefficient_l1(A) * (1 + 1e-12)
+
+
+def _serial_refine(A, H, norm, c0):
+    """Pattern search from one start, one sweep after another: the oracle
+    for the lockstep refinement of the sampling route."""
+    c = c0 / np.linalg.norm(c0)
+    best = float(_ratios(A, H, norm, c[:, None])[0])
+    units = np.eye(c.shape[0])
+    units = np.hstack([units, -units, 1j * units, -1j * units]
+                      if np.iscomplexobj(c) else [units, -units])
+    step = 0.5
+    while step > 1e-7:
+        cand = c[:, None] + step * units
+        cand /= np.linalg.norm(cand, axis=0)
+        vals = _ratios(A, H, norm, cand)
+        k = int(np.argmax(vals))
+        if vals[k] > best * (1 + 1e-14) + 1e-300:
+            c, best = cand[:, k], float(vals[k])
+        else:
+            step *= 0.5
+    return c, best
+
+
+def _serial_sampled_partial_norm(A, H, norm, samples, seed):
+    """(value, witness) of the sampling route with its three starts refined
+    one after another."""
+    A = as_matrix(A)
+    C = _probe_coords(A, H, np.random.default_rng(seed), samples)
+    ratios = _ratios(A, H, norm, C)
+    order = np.argsort(ratios)[::-1]
+    best_c, best = C[:, order[0]], float(ratios[order[0]])
+    for idx in order[:3]:
+        c_ref, val = _serial_refine(A, H, norm, C[:, idx])
+        if val > best:
+            best, best_c = val, c_ref
+    w = H.basis @ best_c
+    return best, w / norm(w)
+
+
+class _SumPlusMax(VectorNorm):
+    """A custom norm with no closed form that defines only ``batch``."""
+
+    def batch(self, X):
+        a = np.abs(X)
+        return a.sum(axis=0) + 2.0 * a.max(axis=0)
+
+
+def _invariant_case(rng, n, d, cplx):
+    """A random n x n matrix and an invariant subspace of dimension d."""
+    Q = random_orthogonal(n, rng, complex_field=cplx)
+    T = rng.standard_normal((n, n))
+    if cplx:
+        T = T + 1j * rng.standard_normal((n, n))
+    T[:n - d, n - d:] = 0.0
+    return Q @ T @ Q.conj().T, Subspace(Q[:, n - d:])
+
+
+def _random_additive_l1(rng, n):
+    P = Subspace.from_spanning(rng.standard_normal((n, int(rng.integers(1, n)))))
+    return additive_norm(L1, P, P.orthogonal_complement())
+
+
+SAMPLED_NORMS = {
+    "l1": lambda rng, n: L1,
+    "linf": lambda rng, n: LINF,
+    "weighted_l1": lambda rng, n: WeightedL1(rng.uniform(0.5, 2.0, n)),
+    "l2": lambda rng, n: L2,
+    "additive_l1": _random_additive_l1,
+    "batch_only": lambda rng, n: _SumPlusMax(),
+}
+
+
+# WeightedL1.batch is one BLAS gemv, and the last bit of a column's value
+# depends on where the column sits in the batch.  So a weighted-l1 value may
+# differ from the serial one by an ulp, on the same search path.
+VALUE_ULPS = {"weighted_l1": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLED_NORMS))
+def test_lockstep_refinement_equals_serial_refinement(kind):
+    # 40 cases per norm, 240 in all: real and complex, n = 2..12, dim H 1..n-1
+    for i in range(40):
+        rng = np.random.default_rng([i, sorted(SAMPLED_NORMS).index(kind)])
+        n, cplx = 2 + i % 11, i % 2 == 1
+        A, H = _invariant_case(rng, n, int(rng.integers(1, n)), cplx)
+        norm = SAMPLED_NORMS[kind](rng, n)
+        value, witness = _serial_sampled_partial_norm(A, H, norm, 24, i)
+        res = partial_norm(A, H, norm, route="sample", samples=24, seed=i)
+        ulps = VALUE_ULPS.get(kind, 0)
+        assert abs(res.value - value) <= ulps * np.spacing(value), (kind, i)
+        assert res.witness.tobytes() == witness.tobytes(), (kind, i)
+
+
+def test_lockstep_refinement_makes_fewer_batch_calls_than_serial():
+    A = random_stochastic(8, np.random.default_rng(15))
+    H = mean_zero_subspace(8)
+    serial, lockstep = _CountingL1(), _CountingL1()
+    value, witness = _serial_sampled_partial_norm(A, H, serial, 256, 1)
+    res = partial_norm(A, H, lockstep, samples=256, seed=1)
+    assert res.value == value and res.witness.tobytes() == witness.tobytes()
+    assert lockstep.batches < serial.batches
 
 
 def _mean_zero_linf_exact(A):
