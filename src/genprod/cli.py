@@ -93,12 +93,6 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _int(config: dict, key: str, default=None) -> int:
-    """config[key] as a JSON integer; a required key when no default is given."""
-    value = _require(config, key) if default is None else config.get(key, default)
-    return matio.json_int(value, f"config key {key!r}")
-
-
 def _trace_rows(*arrays):
     return [list(vals) for vals in zip(*[list(a) for a in arrays])]
 
@@ -114,8 +108,9 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
         results["vector_norm"] = vector_norm(x, norm)
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
-        res = partial_norm(A, H, norm, seed=seed,
-                           samples=_int(config, "samples", 4096))
+        samples = matio.json_int(config.get("samples", 4096),
+                                 "config key 'samples'")
+        res = partial_norm(A, H, norm, seed=seed, samples=samples)
         results["partial_norm"] = res
     return results, {}
 
@@ -124,7 +119,7 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
     A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
     seed = config["seed"]
-    budget = _int(config, "budget", 2048)
+    budget = matio.json_int(config.get("budget", 2048), "config key 'budget'")
     results = {
         "nonexpansive": contraction.is_nonexpansive(A, norm, seed=seed,
                                                     samples=budget),
@@ -138,14 +133,15 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
     if config.get("audit", False):
         results["audit"] = contraction.equiv_theorem_audit(
             A, norm, budget=budget, seed=seed,
-            proof_samples=_int(config, "proof_samples", 0))
+            proof_samples=matio.json_int(config.get("proof_samples", 0),
+                                         "config key 'proof_samples'"))
     return results, {}
 
 
 def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-    max_r = _int(config, "max_r")
+    max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
     threshold = config.get("threshold")
     threshold = float(threshold) if threshold is not None else None
     scheds = [matio.schedule_from_config(s)
@@ -182,7 +178,7 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
         seq = products.MatrixSequence(
             n=inner.n, rule=lambda i: stochastic.repair_stochastic(
                 inner.factor(i)), name=f"{inner.name}|repaired")
-    max_r = _int(config, "max_r")
+    max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
     threshold = float(_require(config, "threshold"))
     scheds = [matio.schedule_from_config(s)
               for s in _require(config, "schedules")]
@@ -245,7 +241,7 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     if not isinstance(config, dict):
         raise matio.ConfigError("config must be a JSON object")
     resolved = dict(config)
-    resolved["seed"] = _int(resolved, "seed", 0)
+    resolved["seed"] = matio.json_int(resolved.get("seed", 0), "config key 'seed'")
     results, traces = RUNNERS[subcommand](resolved, base_dir)
     return matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
                               "config": resolved, "results": results,

@@ -313,6 +313,14 @@ class VectorNorm:
         """Ambient dimension when the norm fixes one, else None."""
         return None
 
+    def _batch_stack(self, X: np.ndarray) -> np.ndarray:
+        """Norm of every column of every block X[i] of a stack (k, n, w), as
+        a (k, w) array: one ``batch`` call on all k w columns.  A norm whose
+        ``batch`` is a BLAS product, whose last bits depend on the width,
+        scores each block by itself instead."""
+        k, n, w = X.shape
+        return self.batch(np.swapaxes(X, 0, 1).reshape(n, k * w)).reshape(k, w)
+
 
 @dataclass(frozen=True)
 class PNorm(VectorNorm):
@@ -402,6 +410,8 @@ class WeightedL1(VectorNorm):
     def batch(self, X: np.ndarray) -> np.ndarray:
         return self.weights @ np.abs(X)
 
+    _batch_stack = batch  # a stacked matmul: one gemv per block
+
 
 @dataclass(frozen=True, eq=False)
 class AdditiveNorm(VectorNorm):
@@ -444,14 +454,19 @@ class AdditiveNorm(VectorNorm):
         return self.H.ambient_dim
 
     def split_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (Y, Z) with X = Y + Z, columns of Y in H, of Z in K."""
+        """The pair (Y, Z) with X = Y + Z, columns of Y in H, of Z in K; X
+        may be a stack of blocks, split block by block."""
         C = self._solve @ X
         d = self.H.dim
-        return self.H.basis @ C[:d], self.K.basis @ C[d:]
+        return self.H.basis @ C[..., :d, :], self.K.basis @ C[..., d:, :]
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         Y, Z = self.split_batch(X)
         return self.base.batch(Y) + self.base.batch(Z)
+
+    def _batch_stack(self, X: np.ndarray) -> np.ndarray:
+        Y, Z = self.split_batch(X)
+        return self.base._batch_stack(Y) + self.base._batch_stack(Z)
 
 
 def additive_norm(base: VectorNorm, H: Subspace, K: Subspace) -> AdditiveNorm:
@@ -743,12 +758,23 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
 
 
 def _ratios(A, H: Subspace, norm: VectorNorm, C: np.ndarray) -> np.ndarray:
-    """norm(A x) / norm(x) for each column x of H.basis @ C, 0 if norm(x) <= 1e-300."""
+    """norm(A x) / norm(x) for each column x of each block H.basis @ C[i] of
+    a stack C (k, d, w), as a (k, w) array; 0 where norm(x) <= 1e-300.
+
+    Every block is scored bit for bit as it would be on its own: numpy's
+    stacked matmul makes one BLAS call per block, A multiplies the same
+    column-major copy of a block's columns that ``X[:, ok]`` makes, and the
+    norm scores the stack with :meth:`VectorNorm._batch_stack`.
+    """
     X = H.basis @ C
-    nx = norm.batch(X)
+    nx = norm._batch_stack(X)
     ok = nx > 1e-300
-    ratios = np.zeros(C.shape[1])
-    ratios[ok] = norm.batch(A @ X[:, ok]) / nx[ok]
+    if ok.all():
+        return norm._batch_stack(
+            A @ np.swapaxes(np.swapaxes(X, 1, 2).copy(), 1, 2)) / nx
+    ratios = np.zeros(nx.shape)
+    for i, (Xi, oki) in enumerate(zip(X, ok)):
+        ratios[i, oki] = norm._batch_stack((A @ Xi[:, oki])[None])[0] / nx[i, oki]
     return ratios
 
 
@@ -759,16 +785,17 @@ def _pattern_refine(A, H: Subspace, norm: VectorNorm,
 
     The starts move in lockstep.  Each sweep stacks the moves c +- step e_i
     (and +- i step e_i over the complex field) of every start whose step is
-    still above 1e-7, and scores them all with one :func:`_ratios` call.
-    Each start then takes its best move (the first on ties) if it gains, or
-    halves its own step.  So every start follows the path it would follow
-    alone, as long as the norm and the matrix products round each column the
-    same at any batch width; only the number of scoring calls drops, to one
-    per sweep of the slowest start.  A start's first value is scored on its
-    own.  No move vanishes: |c| = 1 and step <= 1/2.
+    still above 1e-7 into one block per start, and scores the stack with one
+    :func:`_ratios` call.  Each start then takes its best move (the first on
+    ties) if it gains, or halves its own step.  A block scores as it would
+    alone, so every start follows the path it would follow alone, for every
+    norm whose ``batch`` scores each column by itself (the built-in norms
+    do); only the number of scoring calls drops, to one per sweep of the
+    slowest start.  A start's first value is scored on its own.  No move
+    vanishes: |c| = 1 and step <= 1/2.
     """
     cs = [c0 / np.linalg.norm(c0) for c0 in starts]
-    bests = [float(_ratios(A, H, norm, c[:, None])[0]) for c in cs]
+    bests = [float(_ratios(A, H, norm, c[None, :, None])[0, 0]) for c in cs]
     d = cs[0].shape[0]
     units = np.eye(d)
     units = np.hstack([units, -units, 1j * units, -1j * units]
@@ -778,8 +805,7 @@ def _pattern_refine(A, H: Subspace, norm: VectorNorm,
         cand = np.array([cs[j] for j in live])[:, :, None] + \
             steps[live, None, None] * units
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = _ratios(A, H, norm, cand.transpose(1, 0, 2).reshape(d, -1))
-        vals = vals.reshape(live.size, -1)
+        vals = _ratios(A, H, norm, cand)
         for i, (j, k) in enumerate(zip(live, vals.argmax(axis=1))):
             if vals[i, k] > bests[j] * (1 + 1e-14) + 1e-300:
                 cs[j], bests[j] = cand[i, :, k], float(vals[i, k])
@@ -849,7 +875,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
     # Sampling route.
     rng = np.random.default_rng(seed)
     C = _probe_coords(A, H, rng, samples)
-    ratios = _ratios(A, H, norm, C)
+    ratios = _ratios(A, H, norm, C[None])[0]
     order = np.argsort(ratios)[::-1]
     best_c = C[:, order[0]]
     best = float(ratios[order[0]])
