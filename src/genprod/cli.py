@@ -93,8 +93,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _trace_rows(*arrays):
-    return [list(vals) for vals in zip(*[list(a) for a in arrays])]
+def _trace(columns: list, *arrays) -> dict:
+    """A JSON-ready trace: the column names, and a row per step of the column
+    arrays with a non-finite float as a string (see :func:`_write_outputs`)."""
+    cols = [a.tolist() if a.dtype.kind != "f" or np.isfinite(a).all()
+            else [matio.to_jsonable(v) for v in a.tolist()] for a in arrays]
+    return {"columns": columns, "rows": [list(row) for row in zip(*cols)]}
 
 
 def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
@@ -130,7 +134,7 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
         H = matio.subspace_from_config(config["subspace"])
         results["h_contractor"] = contraction.check_H_contractor(
             A, H, norm, samples=budget, seed=seed)
-    if config.get("audit", False):
+    if matio.json_bool(config.get("audit", False), "config key 'audit'"):
         results["audit"] = contraction.equiv_theorem_audit(
             A, norm, budget=budget, seed=seed,
             proof_samples=matio.json_int(config.get("proof_samples", 0),
@@ -142,8 +146,8 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
     max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
-    threshold = config.get("threshold")
-    threshold = float(threshold) if threshold is not None else None
+    threshold = None if config.get("threshold") is None else \
+        matio.json_float(config["threshold"], "config key 'threshold'")
     scheds = [matio.schedule_from_config(s)
               for s in _require(config, "schedules")]
     results, traces = {"schedules": []}, {}
@@ -151,11 +155,7 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
     for i, sched in enumerate(scheds):
         trace = products.monitor_convergence(seq, sched, norm, threshold, max_r)
         name = f"{sched.label}-{i}"
-        traces[name] = {
-            "columns": ["r", "mu", "envelope"],
-            "rows": _trace_rows(trace.rs.tolist(), trace.mus.tolist(),
-                                trace.envelope.tolist()),
-        }
+        traces[name] = _trace(["r", "mu", "envelope"], trace.rs, trace.mus, trace.envelope)
         overflowed = overflowed or trace.overflow_at is not None
         results["schedules"].append({
             "label": sched.label,
@@ -173,24 +173,20 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
 
 def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
-    if config.get("repair_columns", False):
+    if matio.json_bool(config.get("repair_columns", False), "config key 'repair_columns'"):
         inner = seq
         seq = products.MatrixSequence(
             n=inner.n, rule=lambda i: stochastic.repair_stochastic(
                 inner.factor(i)), name=f"{inner.name}|repaired")
     max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
-    threshold = float(_require(config, "threshold"))
+    threshold = matio.json_float(_require(config, "threshold"), "config key 'threshold'")
     scheds = [matio.schedule_from_config(s)
               for s in _require(config, "schedules")]
     report = stochastic.weak_ergodicity_experiment(seq, scheds, threshold, max_r)
     results, traces = {"threshold": threshold, "runs": []}, {}
     for i, run in enumerate(report.runs):
         name = f"{run.schedule.label}-{i}"
-        traces[name] = {
-            "columns": ["r", "omega"],
-            "rows": _trace_rows(run.rs.tolist(),
-                                run.coefficients.tolist()),
-        }
+        traces[name] = _trace(["r", "omega"], run.rs, run.coefficients)
         results["runs"].append({
             "label": run.schedule.label,
             "schedule": matio.schedule_to_config(run.schedule),
@@ -216,11 +212,12 @@ def run_spectral(config: dict, base_dir: Path) -> tuple[dict, dict]:
     if "subspace" in config:
         H = matio.subspace_from_config(config["subspace"])
         results["bounds"] = spectral.check_multiplicity_bounds(A, H, lam)
-        if config.get("high_modulus", False):
+        if matio.json_bool(config.get("high_modulus", False), "config key 'high_modulus'"):
             norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
             results["high_modulus"] = spectral.high_modulus_bound(
                 A, H, norm, lam, seed=config["seed"])
-    if config.get("stochastic_simple_one", False):
+    if matio.json_bool(config.get("stochastic_simple_one", False),
+                       "config key 'stochastic_simple_one'"):
         results["simple_one"] = spectral.stochastic_simple_one(A)
     return results, {}
 
@@ -235,7 +232,9 @@ RUNNERS = {
 
 
 def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
-    """Execute one subcommand and assemble the report, already JSON-ready."""
+    """Execute one subcommand and assemble the report, already JSON-ready:
+    ``config`` and ``results`` through :func:`matio.to_jsonable`, and
+    ``traces`` as the runners built them (see :func:`_trace`)."""
     if subcommand not in RUNNERS:
         raise matio.ConfigError(f"unknown subcommand {subcommand!r}")
     if not isinstance(config, dict):
@@ -243,9 +242,9 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     resolved = dict(config)
     resolved["seed"] = matio.json_int(resolved.get("seed", 0), "config key 'seed'")
     results, traces = RUNNERS[subcommand](resolved, base_dir)
-    return matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
-                              "config": resolved, "results": results,
-                              "traces": traces})
+    report = matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
+                                "config": resolved, "results": results})
+    return {**report, "traces": traces}
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +285,29 @@ def _out_dir(arg) -> Path:
 
 
 def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
-    report_path = out_dir / f"{name}.json"
-    _atomic_write(report_path, json.dumps(report, sort_keys=True, indent=1,
-                                          allow_nan=False) + "\n")
-    if fmt == "csv":
-        for tname, tr in report.get("traces", {}).items():
+    """Write ``json.dumps(report, sort_keys=True, indent=1, allow_nan=False)``
+    and a newline; with fmt "csv", also ``matio.csv_text`` of each trace.  The
+    rows of a trace are encoded once, then indented or unquoted into CSV: a
+    row value (an int, a float, "inf", "-inf" or "nan") holds no comma,
+    bracket or quote, a trace only "columns" and "rows"; "traces" sorts last."""
+    traces = []
+    for tname, tr in sorted(report["traces"].items()):
+        block = json.dumps(tr["rows"], separators=(",", ":"), allow_nan=False)[2:-2]
+        rows = block.replace(",", ",\n     ").replace("],\n     [",
+                                                      "\n    ],\n    [\n     ")
+        rows = f"[\n    [\n     {rows}\n    ]\n   ]" if block else "[]"
+        columns = json.dumps(tr["columns"], indent=1).replace("\n", "\n   ")
+        traces.append(f'{json.dumps(tname)}: {{\n   "columns": {columns},\n'
+                      f'   "rows": {rows}\n  }}')
+        if fmt == "csv":
+            csv_rows = block.replace('"', "").replace("],[", "\n") + "\n" if block else ""
             _atomic_write(out_dir / f"{name}-{tname}.csv",
-                          matio.csv_text(tr["columns"], tr["rows"]))
+                          ",".join(tr["columns"]) + "\n" + csv_rows)
+    head = json.dumps({k: v for k, v in report.items() if k != "traces"},
+                      sort_keys=True, indent=1, allow_nan=False)[:-2]
+    body = "{\n  " + ",\n  ".join(traces) + "\n }" if traces else "{}"
+    report_path = out_dir / f"{name}.json"
+    _atomic_write(report_path, f'{head},\n "traces": {body}\n}}\n')
     return report_path
 
 

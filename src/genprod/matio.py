@@ -52,11 +52,28 @@ def json_int(v, what: str) -> int:
     return v
 
 
+def json_bool(v, what: str) -> bool:
+    """A config flag: JSON true or false, so that "false" is not read as true."""
+    if not isinstance(v, bool):
+        raise ConfigError(f"{what} must be true or false, got {v!r}")
+    return v
+
+
+def json_float(v, what: str) -> float:
+    """A config number: a JSON integer or float, not true or "1e-8"."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{what} is too large for a float") from None
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
 
-def _json_float(v) -> float | str:
+def _strict_float(v) -> float | str:
     """A float for strict JSON: finite as is, else "inf", "-inf" or "nan"."""
     v = float(v)
     return v if math.isfinite(v) else str(v)
@@ -65,20 +82,13 @@ def _json_float(v) -> float | str:
 def matrix_to_jsonable(A) -> list:
     A = np.asarray(A)
     if np.iscomplexobj(A):
-        return [[[_json_float(v.real), _json_float(v.imag)] for v in row] for row in A]
-    return [[_json_float(v) for v in row] for row in A]
+        return [[[_strict_float(v.real), _strict_float(v.imag)] for v in row] for row in A]
+    return [[_strict_float(v) for v in row] for row in A]
 
 
 def _real(v, i: int, j: int) -> float:
-    """Matrix entry (i, j) as a float.  It must be a JSON number: ``float``
-    would also read strings and booleans."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"matrix entry ({i},{j}) must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ConfigError(f"matrix entry ({i},{j}) is too large for a float") \
-            from None
+    """Matrix entry (i, j) as a float: a float as is, else :func:`json_float`."""
+    return v if type(v) is float else json_float(v, f"matrix entry ({i},{j})")
 
 
 def matrix_from_jsonable(obj) -> np.ndarray:
@@ -199,17 +209,17 @@ def to_jsonable(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else _json_float(obj)
+        return obj if math.isfinite(obj) else _strict_float(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return to_jsonable(obj.item())
     if isinstance(obj, complex):
-        return [_json_float(obj.real), _json_float(obj.imag)]
+        return [_strict_float(obj.real), _strict_float(obj.imag)]
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2:
             return matrix_to_jsonable(obj)
         if np.iscomplexobj(obj):
-            return [[_json_float(v.real), _json_float(v.imag)] for v in obj]
-        return [_json_float(v) for v in obj] if obj.dtype.kind == "f" \
+            return [[_strict_float(v.real), _strict_float(v.imag)] for v in obj]
+        return [_strict_float(v) for v in obj] if obj.dtype.kind == "f" \
             else [int(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
@@ -251,7 +261,8 @@ def norm_from_config(cfg) -> VectorNorm:
     if kind == "linf":
         return LINF
     if kind == "weighted_l1":
-        return WeightedL1(np.asarray(cfg.get("weights", []), dtype=float))
+        return WeightedL1(np.array([json_float(w, "weighted_l1 weight")
+                                    for w in cfg.get("weights", [])]))
     if kind == "additive":
         return additive_norm(norm_from_config(_get(cfg, "base", "norm")),
                              subspace_from_config(_get(cfg, "H", "norm")),

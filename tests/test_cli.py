@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import genprod
-from genprod import matio
+from genprod import cli, matio
 from genprod.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -561,6 +561,62 @@ def test_config_integers_must_be_json_integers(tmp_path, capsys, case):
     assert not (tmp_path / f"{sub}.json").exists()
 
 
+
+STRICT_KEYS = {
+    "classify audit": ("classify", {"matrix": RUNNING, "audit": "false"},
+                       "must be true or false"),
+    "ergodicity repair_columns": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "threshold": 1e-8, "max_r": 5, "repair_columns": "no"}, "must be true or false"),
+    "spectral high_modulus": ("spectral", {
+        "matrix": RUNNING, "eigenvalue": 1.0, "subspace": {"kind": "mean_zero", "n": 2},
+        "high_modulus": "no"}, "must be true or false"),
+    "spectral stochastic_simple_one": ("spectral", {
+        "matrix": RUNNING, "eigenvalue": 1.0, "stochastic_simple_one": 1},
+        "must be true or false"),
+    "product threshold true": ("product", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "max_r": 5, "threshold": True}, "must be a number"),
+    "product threshold string": ("product", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "max_r": 5, "threshold": "1e-8"}, "must be a number"),
+    "ergodicity threshold string": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "max_r": 5, "threshold": "1e-8"}, "must be a number"),
+    "ergodicity threshold huge int": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "max_r": 5, "threshold": 10 ** 400}, "too large for a float"),
+    "weights bool": ("norm", {"matrix": RUNNING,
+                              "norm": {"kind": "weighted_l1", "weights": [True, 2]}},
+                     "must be a number"),
+    "weights strings": ("norm", {"matrix": RUNNING,
+                                 "norm": {"kind": "weighted_l1", "weights": ["1", "2"]}},
+                        "must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_KEYS))
+def test_config_flags_and_numbers_must_be_json_booleans_and_numbers(tmp_path, capsys,
+                                                                     case):
+    sub, payload, message = STRICT_KEYS[case]
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert message in err["message"]
+    assert not (tmp_path / f"{sub}.json").exists()
+
+
+def test_product_threshold_may_be_null_or_an_integer(tmp_path):
+    base = {"sequence": {"kind": "constant", "matrix": RUNNING},
+            "schedules": [{"p": 0}], "max_r": 5}
+    for threshold in (None, 1):
+        cfg = write_config(tmp_path, "c.json", dict(base, threshold=threshold))
+        assert main(["product", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        status = read_report(tmp_path, "product")["results"]["schedules"][0]["status"]
+        assert status["threshold"] == (None if threshold is None else 1.0)
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path, "n.json", {"matrix": [[1.0]]})
     # the child imports the same genprod, installed or not
@@ -696,3 +752,117 @@ def test_ambiguous_rank_in_an_audit_exits_numerical_with_gap(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "RankAmbiguityError"
     assert err["detail"]["gap"] == pytest.approx(5 / 3)
+
+
+# ---------------------------------------------------------------------------
+# report writer
+# ---------------------------------------------------------------------------
+
+def assert_written_like_the_stdlib(tmp_path, report, fmt="csv"):
+    path = cli._write_outputs(report, tmp_path, "w", fmt)
+    expected = json.dumps(report, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    for tname, tr in report["traces"].items():
+        csv_path = tmp_path / f"w-{tname}.csv"
+        if fmt == "csv":
+            assert csv_path.read_bytes() == \
+                matio.csv_text(tr["columns"], tr["rows"]).encode("utf-8")
+        else:
+            assert not csv_path.exists()
+
+
+def a_report(traces, config=None, results=None):
+    return {"schema": "genprod.report/1", "subcommand": "product",
+            "config": {"seed": 0} if config is None else config,
+            "results": {} if results is None else results, "traces": traces}
+
+
+AWKWARD_TEXT = 'a,b [c] {d} "q" \\ \x00 é中\U0001f600 rows traces ],[ \n\t'
+
+WRITER_CASES = {
+    "no traces": a_report({}),
+    "empty trace": a_report({"x-0": {"columns": ["r", "omega"], "rows": []}}),
+    "one row": a_report({"x-0": {"columns": ["r", "omega"], "rows": [[1, 0.5]]}}),
+    "non-finite": a_report({"x-0": {"columns": ["r", "mu", "envelope"], "rows": [
+        [1, "inf", "inf"], [2, "-inf", "nan"], [3, 1.0, "inf"]]}}),
+    "extreme floats and ints": a_report({"x-0": {"columns": ["r", "mu"], "rows": [
+        [1, -0.0], [2, 5e-324], [3, 2.2250738585072014e-308], [4, 1e308],
+        [5, -1e308], [10 ** 30, 0.1 + 0.2], [-(10 ** 19), 1e-300], [0, 123456789.0]]}}),
+    "several traces out of order": a_report({
+        name: {"columns": ["r", "omega"], "rows": [[1, 0.25 * k], [2, 0.125]]}
+        for k, name in enumerate(["b-0", "a-1", "x-10", "x-2", "rows-3", "traces-4"])}),
+    "awkward config strings": a_report(
+        {"x-0": {"columns": ["r", "mu"], "rows": [[1, 0.5], [2, 0.25]]}},
+        config={"label": AWKWARD_TEXT, "traces": {"rows": [AWKWARD_TEXT]},
+                AWKWARD_TEXT: [1, [2.5, {"rows": "],["}]], "seed": 0},
+        results={"schedules": [{"label": AWKWARD_TEXT, "crossed_at": None,
+                                "bound_M": "inf", "traces": ["rows"]}]}),
+    "awkward trace names": a_report({
+        'a,b [c] "q" \\ é rows-0': {"columns": ["r", "mu"], "rows": [[1, 0.5]]},
+        "traces-1": {"columns": ["r", "mu"], "rows": [[1, 0.75], [2, "nan"]]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_report_writer_equals_the_stdlib_dump(tmp_path, case):
+    assert_written_like_the_stdlib(tmp_path, WRITER_CASES[case])
+
+
+def test_report_writer_json_format_writes_no_csv(tmp_path):
+    assert_written_like_the_stdlib(tmp_path, WRITER_CASES["non-finite"], fmt="json")
+
+
+def test_report_writer_takes_any_trace_name_in_json(tmp_path):
+    # NUL and "/" cannot be in a file name, but can be in a schedule label
+    report = a_report({"a/\x00b-0": {"columns": ["r"], "rows": [[1], [2]]}})
+    assert_written_like_the_stdlib(tmp_path, report, fmt="json")
+
+
+def test_report_writer_property(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(["inf", "-inf", "nan"]))
+    trace = st.integers(1, 4).flatmap(lambda k: st.fixed_dictionaries({
+        "columns": st.lists(st.text(max_size=4), min_size=k, max_size=k),
+        "rows": st.lists(st.lists(value, min_size=k, max_size=k), max_size=6)}))
+    name = st.text(st.characters(blacklist_characters="/\x00",
+                                 blacklist_categories=("Cs",)), min_size=1, max_size=12)
+    config = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=12)
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(traces=st.dictionaries(name, trace, max_size=4),
+               config=st.dictionaries(st.text(max_size=6), config, max_size=4))
+    def prop(traces, config):
+        out = tmp_path / "out"
+        if out.exists():
+            for f in out.iterdir():
+                f.unlink()
+        assert_written_like_the_stdlib(out, a_report(traces, config=config))
+
+    prop()
+
+
+@pytest.mark.parametrize("sub, payload", [
+    ("product", {"sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},
+                 "schedules": [{"p": 0}, {"ordering": {"kind": "right"}}],
+                 "norm": {"kind": "l1"}, "max_r": 5, "threshold": None}),
+    ("ergodicity", {"sequence": {"kind": "constant", "matrix": RUNNING},
+                    "schedules": [{"p": 0, "label": "b"}, {"p": 1, "label": "a"}],
+                    "threshold": 1e-6, "max_r": 60}),
+])
+def test_run_config_traces_are_json_ready_and_written_like_the_stdlib(tmp_path, sub,
+                                                                      payload):
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_config(sub, payload, tmp_path)
+    assert matio.to_jsonable(report) == report
+    assert report["traces"] and all(tr["rows"] for tr in report["traces"].values())
+    if sub == "product":
+        assert report["traces"]["p0-identity-left-0"]["rows"] == [
+            [1, 1e160, "inf"], [2, "inf", "inf"]]
+    assert_written_like_the_stdlib(tmp_path, report)

@@ -192,6 +192,31 @@ def test_config_integers_must_be_json_integers(value):
     assert matio.json_int(7, "max_r") == 7
 
 
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_config_flags_must_be_json_booleans(value):
+    with pytest.raises(matio.ConfigError, match="must be true or false"):
+        matio.json_bool(value, "audit")
+    assert matio.json_bool(False, "audit") is False
+    assert matio.json_bool(True, "audit") is True
+
+
+@pytest.mark.parametrize("value", [True, False, "1e-8", None, [1.0]])
+def test_config_numbers_must_be_json_numbers(value):
+    with pytest.raises(matio.ConfigError, match="must be a number"):
+        matio.json_float(value, "threshold")
+    with pytest.raises(matio.ConfigError, match="too large for a float"):
+        matio.json_float(10 ** 400, "threshold")
+    assert matio.json_float(2, "threshold") == 2.0
+    assert type(matio.json_float(2, "threshold")) is float
+    assert matio.json_float(1e-8, "threshold") == 1e-8
+
+
+@pytest.mark.parametrize("weights", [[True, 2], ["1", "2"], [1.0, None]])
+def test_weighted_l1_weights_must_be_json_numbers(weights):
+    with pytest.raises(matio.ConfigError, match="must be a number"):
+        matio.norm_from_config({"kind": "weighted_l1", "weights": weights})
+
 @pytest.mark.parametrize("reader,cfg", [
     (matio.subspace_from_config, {"kind": "mean_zero", "n": 3.0}),
     (matio.subspace_from_config, {"kind": "full", "n": True}),
