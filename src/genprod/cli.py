@@ -87,22 +87,15 @@ def _atomic_write(path: Path, text: str) -> None:
 # Runners: config -> (results, traces)
 # ---------------------------------------------------------------------------
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise matio.ConfigError(f"config is missing required key {key!r}")
-    return config[key]
-
-
 def _trace(columns: list, *arrays) -> dict:
     """A JSON-ready trace: the column names, and a row per step of the column
     arrays with a non-finite float as a string (see :func:`_write_outputs`)."""
-    cols = [a.tolist() if a.dtype.kind != "f" or np.isfinite(a).all()
-            else [matio.to_jsonable(v) for v in a.tolist()] for a in arrays]
+    cols = [matio.to_jsonable(a) for a in arrays]
     return {"columns": columns, "rows": [list(row) for row in zip(*cols)]}
 
 
 def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
-    A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
+    A = matio.matrix_from_config(matio.require(config, "matrix"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
     seed = config["seed"]
     results = {"dimension": A.shape[0],
@@ -120,7 +113,7 @@ def run_norm(config: dict, base_dir: Path) -> tuple[dict, dict]:
 
 
 def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
-    A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
+    A = matio.matrix_from_config(matio.require(config, "matrix"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
     seed = config["seed"]
     budget = matio.json_int(config.get("budget", 2048), "config key 'budget'")
@@ -143,13 +136,13 @@ def run_classify(config: dict, base_dir: Path) -> tuple[dict, dict]:
 
 
 def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
-    seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
+    seq = matio.sequence_from_config(matio.require(config, "sequence"), base_dir)
     norm = matio.norm_from_config(config.get("norm", {"kind": "l1"}))
-    max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
+    max_r = matio.json_int(matio.require(config, "max_r"), "config key 'max_r'")
     threshold = None if config.get("threshold") is None else \
         matio.json_float(config["threshold"], "config key 'threshold'")
     scheds = [matio.schedule_from_config(s)
-              for s in _require(config, "schedules")]
+              for s in matio.require(config, "schedules")]
     results, traces = {"schedules": []}, {}
     overflowed = False
     for i, sched in enumerate(scheds):
@@ -172,16 +165,17 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
 
 
 def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
-    seq = matio.sequence_from_config(_require(config, "sequence"), base_dir)
+    seq = matio.sequence_from_config(matio.require(config, "sequence"), base_dir)
     if matio.json_bool(config.get("repair_columns", False), "config key 'repair_columns'"):
         inner = seq
         seq = products.MatrixSequence(
             n=inner.n, rule=lambda i: stochastic.repair_stochastic(
                 inner.factor(i)), name=f"{inner.name}|repaired")
-    max_r = matio.json_int(_require(config, "max_r"), "config key 'max_r'")
-    threshold = matio.json_float(_require(config, "threshold"), "config key 'threshold'")
+    max_r = matio.json_int(matio.require(config, "max_r"), "config key 'max_r'")
+    threshold = matio.json_float(matio.require(config, "threshold"),
+                                 "config key 'threshold'")
     scheds = [matio.schedule_from_config(s)
-              for s in _require(config, "schedules")]
+              for s in matio.require(config, "schedules")]
     report = stochastic.weak_ergodicity_experiment(seq, scheds, threshold, max_r)
     results, traces = {"threshold": threshold, "runs": []}, {}
     for i, run in enumerate(report.runs):
@@ -194,17 +188,18 @@ def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
             "crossed_at": run.crossed_at,
             "consistent_with_weak_ergodicity": run.consistent_with_weak_ergodicity,
         })
-    if "condition_C" in config and "condition_D" in config:
-        verdict = stochastic.wkerg_condition_check(
-            matio.tail_model_from_config(config["condition_C"]),
-            matio.tail_model_from_config(config["condition_D"]))
-        results["conditions"] = verdict
+    if "condition_C" in config or "condition_D" in config:
+        results["conditions"] = stochastic.wkerg_condition_check(
+            matio.tail_model_from_config(matio.require(config, "condition_C")),
+            matio.tail_model_from_config(matio.require(config, "condition_D")))
     return results, traces
 
 
 def run_spectral(config: dict, base_dir: Path) -> tuple[dict, dict]:
-    A = matio.matrix_from_config(_require(config, "matrix"), base_dir)
-    lam = complex(matio.vector_from_jsonable([_require(config, "eigenvalue")])[0])
+    A = matio.matrix_from_config(matio.require(config, "matrix"), base_dir)
+    lam = complex(matio.vector_from_jsonable([matio.require(config, "eigenvalue")])[0])
+    if not np.isfinite(lam):
+        raise matio.ConfigError(f"config key 'eigenvalue' must be finite, got {lam}")
     results: dict = {
         "multiplicities": spectral.multiplicities(A, lam),
         "eigenvalue_one_semisimple": spectral.eigenvalue_one_semisimple(A),
@@ -233,8 +228,9 @@ RUNNERS = {
 
 def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     """Execute one subcommand and assemble the report, already JSON-ready:
-    ``config`` and ``results`` through :func:`matio.to_jsonable`, and
-    ``traces`` as the runners built them (see :func:`_trace`)."""
+    ``config`` as read (with its seed), ``results`` through
+    :func:`matio.to_jsonable`, and ``traces`` as the runners built them (see
+    :func:`_trace`)."""
     if subcommand not in RUNNERS:
         raise matio.ConfigError(f"unknown subcommand {subcommand!r}")
     if not isinstance(config, dict):
@@ -242,9 +238,8 @@ def run_config(subcommand: str, config: dict, base_dir: Path) -> dict:
     resolved = dict(config)
     resolved["seed"] = matio.json_int(resolved.get("seed", 0), "config key 'seed'")
     results, traces = RUNNERS[subcommand](resolved, base_dir)
-    report = matio.to_jsonable({"schema": SCHEMA, "subcommand": subcommand,
-                                "config": resolved, "results": results})
-    return {**report, "traces": traces}
+    return {"schema": SCHEMA, "subcommand": subcommand, "config": resolved,
+            "results": matio.to_jsonable(results), "traces": traces}
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,15 @@ def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
     and a newline; with fmt "csv", also ``matio.csv_text`` of each trace.  The
     rows of a trace are encoded once, then indented or unquoted into CSV: a
     row value (an int, a float, "inf", "-inf" or "nan") holds no comma,
-    bracket or quote, a trace only "columns" and "rows"; "traces" sorts last."""
+    bracket or quote, a trace only "columns" and "rows"; "traces" sorts last.
+    The config is echoed as read, so a NaN or Infinity in it is a ConfigError,
+    raised before any file is written."""
+    try:
+        head = json.dumps({k: v for k, v in report.items() if k != "traces"},
+                          sort_keys=True, indent=1, allow_nan=False)[:-2]
+    except ValueError:
+        raise matio.ConfigError("config numbers must be finite: NaN and "
+                                "Infinity cannot be replayed") from None
     traces = []
     for tname, tr in sorted(report["traces"].items()):
         block = json.dumps(tr["rows"], separators=(",", ":"), allow_nan=False)[2:-2]
@@ -303,8 +306,6 @@ def _write_outputs(report: dict, out_dir: Path, name: str, fmt: str) -> Path:
             csv_rows = block.replace('"', "").replace("],[", "\n") + "\n" if block else ""
             _atomic_write(out_dir / f"{name}-{tname}.csv",
                           ",".join(tr["columns"]) + "\n" + csv_rows)
-    head = json.dumps({k: v for k, v in report.items() if k != "traces"},
-                      sort_keys=True, indent=1, allow_nan=False)[:-2]
     body = "{\n  " + ",\n  ".join(traces) + "\n }" if traces else "{}"
     report_path = out_dir / f"{name}.json"
     _atomic_write(report_path, f'{head},\n "traces": {body}\n}}\n')
@@ -356,8 +357,7 @@ def _cmd_replay(args) -> int:
     if args.config is not None:
         supplied = _read_json(Path(args.config), "config")
         supplied.setdefault("seed", 0)
-        if _canonical_json(matio.to_jsonable(supplied)) != \
-                _canonical_json(stored["config"]):
+        if _canonical_json(supplied) != _canonical_json(stored["config"]):
             raise matio.ConfigError(
                 "supplied config does not match the report's embedded config "
                 "(replaying a run under a different config is not allowed)")

@@ -38,10 +38,21 @@ class ConfigError(ValueError):
     """A config document is malformed; message points at the offending key."""
 
 
-def _get(cfg: dict, key: str, where: str):
+def require(cfg: dict, key: str, where: str = ""):
+    """``cfg[key]``; a missing key is a ConfigError naming it (and ``where``)."""
     if key not in cfg:
-        raise ConfigError(f"{where} config is missing required key {key!r}")
+        raise ConfigError(f"{where} config is missing required key {key!r}".lstrip())
     return cfg[key]
+
+
+def kind_of(cfg, where: str, kinds) -> str:
+    """The 'kind' of a kind-tagged config object: a string among ``kinds``."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(f"{where} config must be an object with a 'kind'")
+    kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {where} kind {kind!r}")
+    return kind
 
 
 def json_int(v, what: str) -> int:
@@ -72,19 +83,6 @@ def json_float(v, what: str) -> float:
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
-
-def _strict_float(v) -> float | str:
-    """A float for strict JSON: finite as is, else "inf", "-inf" or "nan"."""
-    v = float(v)
-    return v if math.isfinite(v) else str(v)
-
-
-def matrix_to_jsonable(A) -> list:
-    A = np.asarray(A)
-    if np.iscomplexobj(A):
-        return [[[_strict_float(v.real), _strict_float(v.imag)] for v in row] for row in A]
-    return [[_strict_float(v) for v in row] for row in A]
-
 
 def _real(v, i: int, j: int) -> float:
     """Matrix entry (i, j) as a float: a float as is, else :func:`json_float`."""
@@ -123,7 +121,7 @@ def vector_from_jsonable(obj) -> np.ndarray:
 
 
 def save_matrix_json(A, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_jsonable(A)) + "\n",
+    Path(path).write_text(json.dumps(to_jsonable(np.asarray(A))) + "\n",
                           encoding="utf-8")
 
 
@@ -144,8 +142,7 @@ def matrix_to_csv_text(A) -> str:
     A = np.asarray(A)
     if np.iscomplexobj(A):
         raise ValueError("CSV matrix files are real-only; use JSON for complex")
-    return csv_text(["n", str(A.shape[0])],
-                    [[float(v) for v in row] for row in A])
+    return csv_text(["n", str(A.shape[0])], to_jsonable(A))
 
 
 def matrix_from_csv_text(text: str) -> np.ndarray:
@@ -205,22 +202,25 @@ def to_jsonable(obj: Any) -> Any:
     Non-finite floats become the strings "inf", "-inf" and "nan", so the
     result serializes as strict JSON.  The verdict enums are str enums and
     pass through as strings; a NamedTuple is a tuple and becomes a list.
+    Complex numbers become [re, im] pairs.  A bool or int vector is written
+    as ints, any other array as floats.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else _strict_float(obj)
+        return obj if math.isfinite(obj) else str(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return to_jsonable(obj.item())
     if isinstance(obj, complex):
-        return [_strict_float(obj.real), _strict_float(obj.imag)]
+        return [to_jsonable(obj.real), to_jsonable(obj.imag)]
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 2:
-            return matrix_to_jsonable(obj)
         if np.iscomplexobj(obj):
-            return [[_strict_float(v.real), _strict_float(v.imag)] for v in obj]
-        return [_strict_float(v) for v in obj] if obj.dtype.kind == "f" \
-            else [int(v) for v in obj]
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        obj = obj.astype(float if obj.ndim > 1 or obj.dtype.kind == "f" else int,
+                         copy=False)
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return to_jsonable(obj.tolist())
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in dataclasses.fields(obj):
@@ -251,46 +251,33 @@ def norm_to_config(norm: VectorNorm) -> dict:
 
 
 def norm_from_config(cfg) -> VectorNorm:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("norm config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind == "l1":
-        return L1
-    if kind == "l2":
-        return L2
-    if kind == "linf":
-        return LINF
+    kind = kind_of(cfg, "norm", ("l1", "l2", "linf", "weighted_l1", "additive"))
     if kind == "weighted_l1":
         return WeightedL1(np.array([json_float(w, "weighted_l1 weight")
                                     for w in cfg.get("weights", [])]))
     if kind == "additive":
-        return additive_norm(norm_from_config(_get(cfg, "base", "norm")),
-                             subspace_from_config(_get(cfg, "H", "norm")),
-                             subspace_from_config(_get(cfg, "K", "norm")))
-    raise ConfigError(f"unknown norm kind {kind!r}")
+        return additive_norm(norm_from_config(require(cfg, "base", "norm")),
+                             subspace_from_config(require(cfg, "H", "norm")),
+                             subspace_from_config(require(cfg, "K", "norm")))
+    return {"l1": L1, "l2": L2, "linf": LINF}[kind]
 
 
 def subspace_to_config(S: Subspace) -> dict:
-    return {"kind": "basis",
-            "columns": matrix_to_jsonable(np.asarray(S.basis))}
+    return {"kind": "basis", "columns": to_jsonable(np.asarray(S.basis))}
 
 
 def subspace_from_config(cfg) -> Subspace:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("subspace config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind in ("mean_zero", "full", "zero"):
-        n = json_int(_get(cfg, "n", "subspace"), "subspace 'n'")
-        return {"mean_zero": mean_zero_subspace, "full": Subspace.full,
-                "zero": Subspace.zero}[kind](n)
+    kind = kind_of(cfg, "subspace", ("mean_zero", "full", "zero", "span", "basis"))
     if kind == "span":
         vecs = cfg.get("vectors", [])
         if not vecs:
             raise ConfigError("span subspace needs vectors")
         return Subspace.from_spanning(matrix_from_jsonable(vecs).T)
     if kind == "basis":
-        return Subspace(matrix_from_jsonable(_get(cfg, "columns", "subspace")))
-    raise ConfigError(f"unknown subspace kind {kind!r}")
+        return Subspace(matrix_from_jsonable(require(cfg, "columns", "subspace")))
+    n = json_int(require(cfg, "n", "subspace"), "subspace 'n'")
+    return {"mean_zero": mean_zero_subspace, "full": Subspace.full,
+            "zero": Subspace.zero}[kind](n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +297,32 @@ def tail_model_to_config(m: TailModel) -> dict:
 
 
 def tail_model_from_config(cfg) -> TailModel:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("tail model config must be an object with a 'kind'")
-    kind = cfg["kind"]
+    kind = kind_of(cfg, "tail model", ("finite_support", "p_series", "constant",
+                                       "periodic", "explicit_prefix"))
+
+    def number(key, default=None):
+        v = require(cfg, key, "tail model") if default is None else cfg.get(key, default)
+        return json_float(v, f"tail model {key!r}")
+
     try:
-        if kind == "finite_support":
-            return TailModel.finite_support(cfg.get("values", []))
         if kind == "p_series":
-            return TailModel.p_series(cfg["amplitude"], cfg["exponent"],
-                                      cfg.get("side", "above"),
-                                      cfg.get("limit", 1.0))
+            return TailModel.p_series(number("amplitude"), number("exponent"),
+                                      cfg.get("side", "above"), number("limit", 1.0))
         if kind == "constant":
-            return TailModel.constant_value(cfg["value"])
+            return TailModel.constant_value(number("value"))
+        values = [json_float(v, "tail model 'values' entry") for v in
+                  (require(cfg, "values", "tail model") if kind == "periodic"
+                   else cfg.get("values", []))]
         if kind == "periodic":
-            return TailModel.periodic(cfg["values"])
-        if kind == "explicit_prefix":
-            tail = cfg.get("tail")
-            return TailModel.with_prefix(
-                cfg.get("values", []),
-                tail_model_from_config(tail) if tail else None)
-    except (KeyError, ValueError) as e:
+            return TailModel.periodic(values)
+        if kind == "finite_support":
+            return TailModel.finite_support(values)
+        tail = cfg.get("tail")
+        return TailModel.with_prefix(values, tail_model_from_config(tail) if tail else None)
+    except ConfigError:
+        raise
+    except ValueError as e:  # the model's own checks: finite, side, signs
         raise ConfigError(f"bad tail model config: {e}") from None
-    raise ConfigError(f"unknown tail model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,46 +330,34 @@ def tail_model_from_config(cfg) -> TailModel:
 # ---------------------------------------------------------------------------
 
 def sequence_from_config(cfg, base_dir: Path | None = None) -> MatrixSequence:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("sequence config must be an object with a 'kind'")
-    kind = cfg["kind"]
+    kind = kind_of(cfg, "sequence", ("constant", "list", "periodic", "scaled"))
     if kind == "constant":
         return MatrixSequence.constant(
-            matrix_from_config(_get(cfg, "matrix", "sequence"), base_dir))
-    if kind == "list":
-        mats = [matrix_from_config(m, base_dir) for m in cfg.get("matrices", [])]
-        if not mats:
-            raise ConfigError("list sequence needs matrices")
-        return MatrixSequence.from_list(mats, name=cfg.get("name", "list"))
-    if kind == "periodic":
-        mats = [matrix_from_config(m, base_dir) for m in cfg.get("matrices", [])]
-        if not mats:
-            raise ConfigError("periodic sequence needs matrices")
-        return MatrixSequence.periodic(mats, name=cfg.get("name", "periodic"))
+            matrix_from_config(require(cfg, "matrix", "sequence"), base_dir))
     if kind == "scaled":
-        base = matrix_from_config(_get(cfg, "matrix", "sequence"), base_dir)
-        scale = tail_model_from_config(_get(cfg, "scale", "sequence"))
+        base = matrix_from_config(require(cfg, "matrix", "sequence"), base_dir)
+        scale = tail_model_from_config(require(cfg, "scale", "sequence"))
         return MatrixSequence.scaled(base, scale, name=cfg.get("name", "scaled"))
-    raise ConfigError(f"unknown sequence kind {kind!r}")
+    mats = [matrix_from_config(m, base_dir) for m in cfg.get("matrices", [])]
+    if not mats:
+        raise ConfigError(f"{kind} sequence needs matrices")
+    make = MatrixSequence.from_list if kind == "list" else MatrixSequence.periodic
+    return make(mats, name=cfg.get("name", kind))
 
 
 def permutation_from_config(cfg) -> Permutation:
     if cfg is None:
         return Permutation()
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("permutation config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind == "identity":
-        return Permutation()
+    kind = kind_of(cfg, "permutation", ("identity", "prefix", "block_shuffle"))
     if kind == "prefix":
         return Permutation("prefix", prefix=tuple(
             json_int(v, "prefix value")
-            for v in _get(cfg, "values", "permutation")))
+            for v in require(cfg, "values", "permutation")))
     if kind == "block_shuffle":
         return Permutation(
             "block_shuffle", block=json_int(cfg.get("block", 2), "permutation 'block'"),
             seed=json_int(cfg.get("seed", 0), "permutation 'seed'"))
-    raise ConfigError(f"unknown permutation kind {kind!r}")
+    return Permutation()
 
 
 def permutation_to_config(p: Permutation) -> dict:
@@ -394,18 +373,14 @@ def ordering_from_config(cfg) -> Ordering:
         return Ordering()
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("ordering config must be an object with a 'kind'")
-    kind = cfg["kind"]
-    if kind in ("left", "right"):
-        return Ordering(kind)
+    kind = kind_of(cfg, "ordering", ("left", "right", "random", "explicit"))
     if kind == "random":
         return Ordering("random", seed=json_int(cfg.get("seed", 0), "ordering 'seed'"))
     if kind == "explicit":
         return Ordering("explicit", orders=tuple(
             tuple(json_int(x, "ordering 'orders' entry") for x in row)
             for row in cfg.get("orders", [])))
-    raise ConfigError(f"unknown ordering kind {kind!r}")
+    return Ordering(kind)
 
 
 def ordering_to_config(o: Ordering) -> dict:

@@ -592,6 +592,25 @@ STRICT_KEYS = {
     "weights strings": ("norm", {"matrix": RUNNING,
                                  "norm": {"kind": "weighted_l1", "weights": ["1", "2"]}},
                         "must be a number"),
+    **{f"tail model {i}": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "threshold": 1e-8, "max_r": 5, "condition_C": model,
+        "condition_D": {"kind": "constant", "value": 0.5}}, "must be a number")
+       for i, model in enumerate([
+           {"kind": "p_series", "amplitude": True, "exponent": 2},
+           {"kind": "p_series", "amplitude": 1.0, "exponent": "2"},
+           {"kind": "constant", "value": True},
+           {"kind": "periodic", "values": [True, 0.5]}])},
+    **{f"only {given}": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING}, "schedules": [{"p": 0}],
+        "threshold": 1e-8, "max_r": 5, given: {"kind": "constant", "value": 0.5}},
+        f"missing required key {missing!r}")
+       for given, missing in [("condition_C", "condition_D"),
+                              ("condition_D", "condition_C")]},
+    # a numpy warning would fail the test too (pytest turns it into an error)
+    **{f"eigenvalue {v}": ("spectral", {"matrix": RUNNING, "eigenvalue": v},
+                           "'eigenvalue' must be finite")
+       for v in [float("nan"), float("inf"), [1.0, float("nan")]]},
 }
 
 
@@ -727,6 +746,39 @@ def test_nan_tail_model_exits_validation(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert err["type"] == "ConfigError" and "must be finite" in err["message"]
+
+
+NON_FINITE_CONFIGS = {
+    "product threshold Infinity": ("product", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "max_r": 5, "threshold": float("inf")}, []),
+    "ergodicity threshold Infinity": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "max_r": 5, "threshold": float("inf")}, []),
+    "product --threshold inf": ("product", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "max_r": 5}, ["--threshold", "inf"]),
+    "ergodicity --threshold inf": ("ergodicity", {
+        "sequence": {"kind": "constant", "matrix": RUNNING},
+        "schedules": [{"p": 0}], "max_r": 5, "threshold": 1e-3},
+        ["--threshold", "inf"]),
+    "norm vector NaN": ("norm", {"matrix": RUNNING,
+                                 "vector": [float("nan"), 1.0]}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_config_exits_validation_without_files(tmp_path, capsys, case):
+    # such a report would echo "inf" or "nan" strings that replay rejects
+    sub, payload, flags = NON_FINITE_CONFIGS[case]
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out), "--format", "csv",
+                 *flags]) == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["type"] == "ConfigError" and "must be finite" in err["message"]
+    assert not out.exists()
 
 
 def test_non_invariant_subspace_exits_numerical_with_residual(tmp_path, capsys):

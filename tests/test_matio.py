@@ -134,6 +134,52 @@ def test_tail_model_config_accepts_all_five_kind_names(cfg, model):
     assert matio.tail_model_from_config(cfg) == model
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "p_series", "amplitude": True, "exponent": 2},
+    {"kind": "p_series", "amplitude": 1.0, "exponent": "2"},
+    {"kind": "p_series", "amplitude": 1.0, "exponent": 2, "limit": None},
+    {"kind": "constant", "value": True},
+    {"kind": "periodic", "values": [True, 0.5]},
+    {"kind": "finite_support", "values": ["0.5"]},
+    {"kind": "explicit_prefix", "values": [0.9, False]},
+])
+def test_tail_model_numbers_must_be_json_numbers(cfg):
+    with pytest.raises(matio.ConfigError, match="must be a number"):
+        matio.tail_model_from_config(cfg)
+
+
+@pytest.mark.parametrize("reader, where", [
+    (matio.norm_from_config, "norm"),
+    (matio.subspace_from_config, "subspace"),
+    (matio.tail_model_from_config, "tail model"),
+    (lambda cfg: matio.sequence_from_config(cfg, None), "sequence"),
+    (matio.permutation_from_config, "permutation"),
+    (matio.ordering_from_config, "ordering"),
+])
+def test_kind_tagged_readers_share_their_two_messages(reader, where):
+    for cfg in ([], {"kinds": "l1"}):
+        with pytest.raises(matio.ConfigError) as e:
+            reader(cfg)
+        assert str(e.value) == f"{where} config must be an object with a 'kind'"
+    for kind in ("nope", ["l1"], 1):
+        with pytest.raises(matio.ConfigError) as e:
+            reader({"kind": kind})
+        assert str(e.value) == f"unknown {where} kind {kind!r}"
+
+
+def test_to_jsonable_arrays_keep_their_written_types():
+    out = matio.to_jsonable({
+        "bools": np.array([True, False]), "ints": np.array([3, 4]),
+        "int_matrix": np.array([[1, 0], [0, 1]]),
+        "floats": np.array([0.5, np.inf, -np.inf, np.nan], dtype=np.float32),
+        "complex": np.array([1 + 2j, complex(np.nan, 1.0)]),
+        "complex_matrix": np.array([[1 - 1j]])})
+    assert json.dumps(out, allow_nan=False) == (
+        '{"bools": [1, 0], "ints": [3, 4], "int_matrix": [[1.0, 0.0], [0.0, 1.0]], '
+        '"floats": [0.5, "inf", "-inf", "nan"], '
+        '"complex": [[1.0, 2.0], ["nan", 1.0]], "complex_matrix": [[[1.0, -1.0]]]}')
+
+
 def test_schedule_round_trip():
     sched = ProductSchedule(
         p=3,
