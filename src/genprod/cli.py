@@ -342,10 +342,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     rp = Path(args.report)
-    # Reports written before strict JSON may hold NaN or Infinity literals;
-    # they parse to the strings that matio.to_jsonable writes for them.
-    stored = _read_json(rp, "report",
-                        parse_constant=lambda c: matio.to_jsonable(float(c)))
+    # A NaN or Infinity literal (in a report written before strict JSON, or in
+    # a supplied config) parses to the string that matio.to_jsonable writes.
+    read = functools.partial(_read_json, parse_constant=lambda c: matio.to_jsonable(float(c)))
+    stored = read(rp, "report")
     for key in ("schema", "subcommand", "config", "results", "traces"):
         if key not in stored:
             raise matio.ConfigError(f"report is missing {key!r}; cannot replay")
@@ -355,7 +355,7 @@ def _cmd_replay(args) -> int:
     if "seed" not in stored["config"]:
         raise matio.ConfigError("report config carries no seed; cannot replay")
     if args.config is not None:
-        supplied = _read_json(Path(args.config), "config")
+        supplied = read(Path(args.config), "config")
         supplied.setdefault("seed", 0)
         if _canonical_json(supplied) != _canonical_json(stored["config"]):
             raise matio.ConfigError(

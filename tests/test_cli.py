@@ -480,6 +480,21 @@ def test_replay_rejects_mismatched_config(tmp_path):
                  "--config", str(other)]) == EXIT_VALIDATION
 
 
+def test_replay_rejects_a_supplied_config_with_non_finite_numbers(tmp_path, capsys):
+    # the supplied config is read like the report: NaN is the string "nan"
+    payload = {"matrix": RUNNING, "seed": 1}
+    cfg = write_config(tmp_path, "n.json", payload)
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path),
+                 "--name", "n"]) == EXIT_OK
+    bad = write_config(tmp_path, "bad.json", {**payload, "vector": [float("nan"), 1.0]})
+    capsys.readouterr()
+    assert main(["replay", "--report", str(tmp_path / "n.json"),
+                 "--config", str(bad)]) == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["type"] == "ConfigError" and "does not match" in err["message"]
+
+
 def test_replay_requires_complete_report(tmp_path):
     p = tmp_path / "r.json"
     p.write_text(json.dumps({"schema": "genprod.report/1"}))
