@@ -167,10 +167,7 @@ def run_product(config: dict, base_dir: Path) -> tuple[dict, dict]:
 def run_ergodicity(config: dict, base_dir: Path) -> tuple[dict, dict]:
     seq = matio.sequence_from_config(matio.require(config, "sequence"), base_dir)
     if matio.json_bool(config.get("repair_columns", False), "config key 'repair_columns'"):
-        inner = seq
-        seq = products.MatrixSequence(
-            n=inner.n, rule=lambda i: stochastic.repair_stochastic(
-                inner.factor(i)), name=f"{inner.name}|repaired")
+        seq = seq.map_factors(stochastic.repair_stochastic, f"{seq.name}|repaired")
     max_r = matio.json_int(matio.require(config, "max_r"), "config key 'max_r'")
     threshold = matio.json_float(matio.require(config, "threshold"),
                                  "config key 'threshold'")

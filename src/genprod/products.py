@@ -79,7 +79,17 @@ class MatrixSequence:
         """Factors scale(i) * base; the scale is a tail model or a callable."""
         base = _frozen_factors([base], "")[0]
         fn = scale.value if isinstance(scale, TailModel) else scale
-        return cls(n=base.shape[0], rule=lambda i: float(fn(i)) * base, name=name)
+        return cls(n=base.shape[0], rule=_Scaled(base, fn), name=name)
+
+    def map_factors(self, fn: Callable[[np.ndarray], np.ndarray],
+                    name: str) -> "MatrixSequence":
+        """The sequence of fn(factor).  A built family's members are mapped
+        once, here; any other rule's factors as they are fetched."""
+        rule = self.rule
+        if not isinstance(rule, _Family):
+            return MatrixSequence(self.n, lambda i: fn(self.factor(i)), name)
+        mats = _frozen_factors([fn(A) for A in rule.mats], "")
+        return MatrixSequence(mats[0].shape[0], rule._replace(mats=mats), name)
 
 
 def _frozen_factors(mats: Sequence, empty_message: str) -> tuple:
@@ -107,6 +117,16 @@ class _Family(NamedTuple):
                 f"sequence {self.name or '<explicit>'} has only {len(self.mats)} "
                 f"factors, index {i} requested")
         return self.mats[(i - 1) % len(self.mats)]
+
+
+class _Scaled(NamedTuple):
+    """A scaled sequence's rule: factor i is float(fn(i)) * base."""
+
+    base: np.ndarray
+    fn: Callable[[int], float]
+
+    def __call__(self, i: int) -> np.ndarray:
+        return float(self.fn(i)) * self.base
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +161,32 @@ class Permutation:
         if self.kind == "block_shuffle" and self.block < 1:
             raise ValueError("block size must be >= 1")
 
-    def index_at(self, position: int) -> int:
-        """Original-sequence index placed at the given position (1-based)."""
-        if position < 1:
+    def indices(self, lo: int, hi: int) -> np.ndarray:
+        """Original-sequence indices placed at positions lo..hi (1-based,
+        lo <= hi), as an integer array."""
+        if lo < 1:
             raise ValueError("positions are 1-based")
+        q = np.arange(lo, hi + 1)
         if self.kind == "identity":
-            return position
+            return q
         if self.kind == "prefix":
-            if position <= len(self.prefix):
-                return self.prefix[position - 1]
             # t-th positive integer not used by the prefix: each used index
             # at or below the candidate pushes it up by one
-            x = position - len(self.prefix)
+            m = len(self.prefix)
+            x = q - m
             for u in sorted(self.prefix):
-                if u > x:
-                    break
-                x += 1
+                x += u <= x
+            head = q <= m
+            x[head] = np.array(self.prefix, dtype=x.dtype)[q[head] - 1]
             return x
-        g, off = divmod(position - 1, self.block)
-        return g * self.block + _block_permutation(self.seed, self.block, g)[off] + 1
+        g, off = np.divmod(q - 1, self.block)
+        shuffles = np.array([_block_permutation(self.seed, self.block, k)
+                             for k in range(g[0], g[-1] + 1)])
+        return g * self.block + shuffles[g - g[0], off] + 1
+
+    def index_at(self, position: int) -> int:
+        """Original-sequence index placed at the given position (1-based)."""
+        return int(self.indices(position, position)[0])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -250,12 +277,13 @@ def stream_general_product(seq: MatrixSequence, sched: ProductSchedule,
     multiplications.  At every step the factor multiset is positions
     p+1..p+r of the permuted sequence, whatever the ordering.  A step's
     ``matrix`` and ``factor`` are read-only.  Steps are formed in the traces'
-    blocks (:func:`_product_blocks`), so once step r is yielded the sequence
-    may have been read up to min(r - 1, BLOCK_CAP - 1) positions past p + r;
-    a factor's error is raised when its step is requested.
+    blocks (:func:`_product_blocks`), each fetched in one step, so once
+    step r is yielded the sequence may have been read up to
+    min(r - 1, BLOCK_CAP - 1) positions past p + r; a factor's error is
+    raised when its step is requested.
     """
     r, p, kind = 0, sched.p, sched.ordering.kind
-    for P, B, gathers in _product_blocks(seq, sched, max_r):
+    for P, B, gathers, _ in _product_blocks(seq, sched, max_r):
         for j in range(len(P)):
             r += 1
             positions = (range(p + 1, p + r + 1) if kind == "left" else
@@ -286,23 +314,84 @@ def _tree_product(X: np.ndarray) -> np.ndarray:
     return X[0]
 
 
+def _members(seq: MatrixSequence, check=None) -> tuple | None:
+    """A built family's member stack and which members are finite and pass
+    ``check[1]``; None for any other rule or for members of mixed dtypes."""
+    rule = seq.rule
+    if not isinstance(rule, _Family) or len({A.dtype for A in rule.mats}) > 1:
+        return None
+    S = np.stack(rule.mats)
+    ok = np.isfinite(S).all(axis=(1, 2))
+    if check is not None:
+        ok &= check[1](S)
+    return S, ok
+
+
+def _fetch(seq: MatrixSequence, idx: np.ndarray, members=None,
+           check=None) -> tuple[list, Exception | None]:
+    """The factors at sequence indices ``idx`` up to the first that fails:
+    (groups, error), the groups (k, n, n) stacks of one dtype each.
+
+    A built family's block is one gather from ``members``, a ``scaled``
+    block its scales times the base, both tested as one stack; a factor that
+    fails is fetched again alone and handed to ``check[0]``.  Any other rule
+    is called and masked per index, so never past a factor that fails.
+    """
+    rule, error = seq.rule, None
+    if members is None and not isinstance(rule, _Scaled):
+        F = []
+        try:
+            for i in idx.tolist():
+                A = seq.factor(i)
+                if check is not None and not check[1](A[None])[0]:
+                    check[0](A)
+                F.append(A)
+        except Exception as exc:
+            error = exc
+        if len({A.dtype for A in F}) == 1:
+            return [np.stack(F)], error
+        return [A[None].copy() for A in F], error
+    if members is not None:
+        S, ok = members
+        m = (idx - 1) % len(S)
+        F, good = S[m], ok[m] & (rule.cyclic | (idx <= len(S)))
+    else:
+        scales = []
+        try:
+            for i in idx.tolist():
+                scales.append(float(rule.fn(i)))
+        except Exception as exc:
+            error = exc
+        F = np.array(scales)[:, None, None] * rule.base
+        good = np.isfinite(F).all(axis=(1, 2))
+        if check is not None:
+            good &= check[1](F)
+    for b in np.flatnonzero(~good).tolist():
+        try:
+            A = (seq.factor(int(idx[b])) if members is not None
+                 else as_matrix(F[b], name=f"factor {idx[b]}"))
+            if check is not None:
+                check[0](A)
+        except Exception as exc:
+            F, error = F[:b], exc
+            break
+    return [F] if len(F) else [], error
+
+
 def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
                     cap: int = BLOCK_CAP, check=None) -> Iterator[tuple]:
     """The products of :func:`stream_general_product` in blocks of 1, 2, 4,
-    ... up to ``cap`` steps, as (P, B, gathers): the products and the
-    entering factors, both (k, n, n) and read-only, and each re-ordered
-    step's :func:`_gather`.  A nested step is one multiplication, a
-    re-ordered one a :func:`_tree_product` over the factors fetched so far,
-    both with numpy's overflow warnings off: an overflow shows as inf or NaN
-    in P.  A block of mixed dtypes is yielded one step at a time.
+    ... up to ``cap`` steps, as (P, B, gathers, idx): the products and the
+    entering factors, both (k, n, n) and read-only, each re-ordered step's
+    :func:`_gather`, and the factors' sequence indices.  A nested step is
+    one multiplication into a fresh array, a re-ordered one a
+    :func:`_tree_product` over the factors fetched so far, both with numpy's
+    overflow warnings off: an overflow shows as inf or NaN in P.  A block of
+    mixed dtypes is yielded one step at a time.
 
-    Each factor is tested as it is fetched, in step order: finite, and the
-    mask ``check[1]`` if given.  A built family's members are tested once,
-    stacked, and one that passes is used as it is.  Any other factor comes
-    from ``seq.factor``, which raises for a malformed one, and is masked
-    alone; ``check[0]`` runs only where the mask fails, and raises.  The
-    first step that fails ends its block: the steps before it are yielded,
-    then the error is raised.
+    A block's factors come from one :func:`_fetch`: each must be finite and
+    pass the mask ``check[1]`` if given, and ``check[0]`` raises for one that
+    fails.  The steps before the first failure are yielded, then its error.
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
@@ -311,44 +400,32 @@ def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
         raise ValueError(
             f"explicit ordering lists {len(ordering.orders)} steps, "
             f"max_r={max_r} requested")
-    family = seq.rule if isinstance(seq.rule, _Family) else None
-    if family is not None:
-        S = np.stack(family.mats)
-        ok = np.isfinite(S).all(axis=(1, 2))
-        if check is not None:
-            ok &= check[1](S)
-
-    def get(i):
-        if family is not None and ok[(i - 1) % len(ok)]:
-            return family(i)
-        A = seq.factor(i)
-        if check is not None and not check[1](A[None])[0]:
-            check[0](A)
-        return A
-
+    members = _members(seq, check)
     left = ordering.kind == "left"
     r, size, C, F = 0, 1, None, None
     while r < max_r:
-        mats, gathers, error = [], [], None
-        try:
-            for s in range(r + 1, min(r + size, max_r) + 1):
-                if not ordering.incremental:
+        k, gathers, error = min(size, max_r - r), [], None
+        if not ordering.incremental:
+            try:
+                for s in range(r + 1, r + k + 1):
                     gathers.append(_gather(ordering, p, s))
-                mats.append(get(perm.index_at(p + s)))
-        except Exception as exc:
-            error = exc
-        if not mats:
+            except Exception as exc:
+                k, error = len(gathers), exc
+        if not k:
             raise error
-        del gathers[len(mats):]
-        step = 1 if any(A.dtype != mats[0].dtype for A in mats) else len(mats)
-        for lo in range(0, len(mats), step):
-            group, g = mats[lo:lo + step], gathers[lo:lo + step]
-            B = np.stack(group)
+        idx = perm.indices(p + r + 1, p + r + k)
+        groups, fetch_error = _fetch(seq, idx, members, check)
+        error = fetch_error or error
+        if not groups:
+            raise error
+        for B in groups:
+            g = gathers[:len(B)]
+            del gathers[:len(B)]
             B.setflags(write=False)
             with np.errstate(over="ignore", invalid="ignore"):
                 if ordering.incremental:
                     prods = []
-                    for A in group:
+                    for A in B:
                         C = A if C is None else C @ A if left else A @ C
                         prods.append(C)
                 else:
@@ -356,7 +433,8 @@ def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
                     prods = [_tree_product(F[offsets]) for offsets in g]
             P = np.stack(prods)
             P.setflags(write=False)
-            yield P, B, g
+            yield P, B, g, idx[:len(B)]
+            idx = idx[len(B):]
             r += len(B)
         if error is not None:
             raise error
@@ -379,11 +457,10 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    factors = [seq.factor(permutation.index_at(p + i)) for i in range(1, r_max + 1)]
-    if any(A.dtype != factors[0].dtype for A in factors):
-        mus = np.concatenate([operator_norms(A[None], norm) for A in factors])
-    else:
-        mus = operator_norms(np.stack(factors), norm)
+    groups, error = _fetch(seq, permutation.indices(p + 1, p + r_max), _members(seq))
+    if error is not None:
+        raise error
+    mus = np.concatenate([operator_norms(B, norm) for B in groups])
     return partial_sum_diagnostics(mus).plus_products
 
 
@@ -394,16 +471,16 @@ def _run_trace(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
 
     Each block of :func:`_product_blocks` (``cap``, ``check``) is measured
     whole, with numpy's overflow and invalid-value warnings off:
-    ``measure(P, B)`` gives (stop, *arrays), a mask of the steps that stop
+    ``measure(P, B, idx)`` gives (stop, *arrays), a mask of the steps that stop
     the trace and arrays of per-step values.  The values are kept up to and
     including the first stopping step.  So the sequence is read at most
     ``cap - 1`` steps past the stop, and a step's error is raised only if no
     step before it stopped the trace.
     """
     kept = []
-    for P, B, _ in _product_blocks(seq, sched, max_r, cap, check):
+    for P, B, _, idx in _product_blocks(seq, sched, max_r, cap, check):
         with np.errstate(over="ignore", invalid="ignore"):
-            stop, *arrays = measure(P, B)
+            stop, *arrays = measure(P, B, idx)
         stops = np.flatnonzero(stop)
         k = stops[0] + 1 if stops.size else len(stop)
         kept.append([a[:k] for a in arrays])
@@ -460,21 +537,27 @@ def monitor_convergence(seq: MatrixSequence, sched: ProductSchedule,
     (recorded as an infinite norm).  Underflowing values are clamped at
     1e-300 and the first clamped step is recorded.  Steps are measured in
     blocks of up to BLOCK_CAP, so ``seq`` may be asked for up to
-    BLOCK_CAP - 1 factors past the stop (see :func:`_run_trace`).
+    BLOCK_CAP - 1 factors past the stop (see :func:`_run_trace`).  The
+    factor norms of a ``constant`` or ``periodic`` sequence come from one
+    call on its members, read by member index.
     """
     if threshold is not None and not threshold > 0:
         raise ValueError("threshold must be positive")
+    closed = has_closed_form(norm)
+    members = _members(seq) if closed and getattr(seq.rule, "cyclic", False) else None
+    member_mus = None if members is None else operator_norms(members[0], norm)
 
-    def measure(P, B):
+    def measure(P, B, idx):
         mus = operator_norms(P, norm)
         stop = ~(mus <= OVERFLOW_LIMIT)
         if threshold is not None:
             stop |= np.maximum(mus, UNDERFLOW_CLAMP) < threshold
-        return stop, mus, operator_norms(B, norm)
+        return stop, mus, (operator_norms(B, norm) if member_mus is None
+                           else member_mus[(idx - 1) % len(member_mus)])
 
     # A sampled norm is measured one step at a time: none is spent past the stop.
     stopped, raw, factor_mus = _run_trace(
-        seq, sched, max_r, measure, cap=BLOCK_CAP if has_closed_form(norm) else 1)
+        seq, sched, max_r, measure, cap=BLOCK_CAP if closed else 1)
     low = np.flatnonzero(raw < UNDERFLOW_CLAMP)
     mus = np.maximum(raw, UNDERFLOW_CLAMP)
     diag = partial_sum_diagnostics(factor_mus)

@@ -210,7 +210,7 @@ def weak_ergodicity_experiment(seq: MatrixSequence,
     if not threshold > 0:
         raise ValueError("threshold must be positive")
 
-    def measure(P, B):
+    def measure(P, B, idx):
         w = _coefficients(P)
         return w < threshold, w
 

@@ -691,6 +691,57 @@ def test_ergodicity_repair_option(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+DRIFTED = [[[0.9 + 3e-8, 0.2], [0.1, 0.8 - 2e-8]],
+           [[0.6, 0.5 + 4e-8], [0.4, 0.5]],
+           [[0.7 - 1e-8, 0.3], [0.3, 0.7]]]
+
+
+def _repair_config(tmp_path, name, matrices, **extra):
+    return write_config(tmp_path, name, {
+        "sequence": {"kind": "periodic", "matrices": matrices},
+        "schedules": [{}, {"p": 1, "ordering": {"kind": "random", "seed": 2}}],
+        "threshold": 1e-300, "max_r": 200, **extra})
+
+
+def test_repair_columns_repairs_each_family_member_once(tmp_path, monkeypatch):
+    from genprod import stochastic
+    calls = []
+    repair = stochastic.repair_stochastic
+    monkeypatch.setattr(stochastic, "repair_stochastic",
+                        lambda A: calls.append(1) or repair(A))
+    cfg = _repair_config(tmp_path, "r.json", DRIFTED, repair_columns=True)
+    assert main(["ergodicity", "--config", str(cfg), "--out", str(tmp_path),
+                 "--name", "rep", "--format", "csv"]) == EXIT_OK
+    assert len(calls) == 3
+
+
+def test_repaired_family_reports_what_its_repaired_members_give(tmp_path):
+    from genprod.stochastic import repair_stochastic
+    cfg = _repair_config(tmp_path, "r.json", DRIFTED, repair_columns=True)
+    repaired = [repair_stochastic(np.array(A)).tolist() for A in DRIFTED]
+    cfg2 = _repair_config(tmp_path, "r2.json", repaired)
+    for c, name in ((cfg, "rep"), (cfg2, "pre")):
+        assert main(["ergodicity", "--config", str(c), "--out", str(tmp_path),
+                     "--name", name, "--format", "csv"]) == EXIT_OK
+    assert read_report(tmp_path, "rep")["results"] == \
+        read_report(tmp_path, "pre")["results"]
+    for trace in read_report(tmp_path, "rep")["traces"]:
+        assert (tmp_path / f"rep-{trace}.csv").read_bytes() == \
+            (tmp_path / f"pre-{trace}.csv").read_bytes()
+
+
+def test_family_member_that_cannot_be_repaired_exits_2_before_any_step(
+        tmp_path, capsys):
+    # the third member needs far more than 1e-6 of adjustment; max_r = 1
+    # never reaches it
+    bad = DRIFTED[:2] + [[[0.5, 0.9], [0.5, 0.2]]]
+    cfg = _repair_config(tmp_path, "r.json", bad, repair_columns=True, max_r=1)
+    assert main(["ergodicity", "--config", str(cfg), "--out", str(tmp_path),
+                 "--name", "bad"]) == EXIT_VALIDATION
+    assert "column 1 needs adjustment" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_overflowing_product_run_prints_no_numpy_warning(tmp_path, capsys):
     cfg = write_config(tmp_path, "p.json", {
         "sequence": {"kind": "constant", "matrix": [[1e160, 0.0], [0.0, 1e160]]},

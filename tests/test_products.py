@@ -99,6 +99,28 @@ def test_block_shuffle_index_at_matches_per_position_generator():
                 assert p.index_at(pos) == want
 
 
+def test_block_index_map_equals_index_at_per_position_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    perms = st.one_of(
+        st.just(Permutation()),
+        st.lists(st.integers(1, 40), max_size=8, unique=True).map(
+            lambda head: Permutation("prefix", prefix=tuple(head))),
+        st.builds(lambda block, seed: Permutation("block_shuffle", block=block,
+                                                  seed=seed),
+                  st.integers(1, 9), st.integers(0, 2**16)))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(perm=perms, lo=st.integers(1, 60), length=st.integers(1, 70))
+    def prop(perm, lo, length):
+        hi = lo + length - 1
+        got = perm.indices(lo, hi)
+        assert got.tolist() == [perm.index_at(q) for q in range(lo, hi + 1)]
+
+    prop()
+
+
 # ---------------------------------------------------------------------------
 # Streaming
 # ---------------------------------------------------------------------------
@@ -660,6 +682,41 @@ def test_nested_stream_and_traces_equal_the_plain_loop_bit_for_bit(ordering,
     run = weak_ergodicity_experiment(seq, [sched], 1e-300, 150).runs[0]
     coefficients = [ergodicity_coefficient_l1(W) for W in want]
     assert run.coefficients.tolist() == coefficients[:len(run.coefficients)]
+
+
+def _parity_sequence(kind, n):
+    """A periodic, list or scaled sequence of n x n factors for the parity test."""
+    rng = np.random.default_rng(n)
+    mats = [rng.dirichlet(np.ones(n), size=n).T for _ in range(7)]
+    if kind == "periodic":
+        return MatrixSequence.periodic(mats)
+    if kind == "list":
+        return MatrixSequence.from_list([rng.uniform(0.5, 1.5) * A
+                                         for A in mats * 30])
+    return MatrixSequence.scaled(mats[0], TailModel.p_series(0.5, 1.0, "below"))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+@pytest.mark.parametrize("ordering", ["left", "right"])
+@pytest.mark.parametrize("permutation", ["identity", "prefix", "block_shuffle"])
+@pytest.mark.parametrize("kind", ["periodic", "list", "scaled"])
+def test_block_fetched_steps_and_norms_equal_the_plain_loop_bit_for_bit(
+        kind, permutation, ordering, n):
+    seq = _parity_sequence(kind, n)
+    sched = _schedule(ordering, permutation, p=1, max_r=150)
+    C, want, factors = None, [], []
+    for r in range(1, 151):
+        A = seq.factor(sched.permutation.index_at(sched.p + r))
+        C = A if C is None else (C @ A if ordering == "left" else A @ C)
+        want.append(C)
+        factors.append(A)
+    steps = list(stream_general_product(seq, sched, 150))
+    assert all(np.array_equal(s.matrix, W) for s, W in zip(steps, want))
+    assert all(np.array_equal(s.factor, A) for s, A in zip(steps, factors))
+    for norm in (L1, L2, LINF):
+        trace = monitor_convergence(seq, sched, norm, None, 150)
+        assert trace.mus.tolist() == [operator_norm(W, norm) for W in want]
+        assert trace.factor_mus.tolist() == [operator_norm(A, norm) for A in factors]
 
 
 @pytest.mark.parametrize("build", [MatrixSequence.periodic, MatrixSequence.from_list])
