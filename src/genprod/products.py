@@ -405,15 +405,13 @@ def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
     r, size, C, F = 0, 1, None, None
     while r < max_r:
         k, gathers, error = min(size, max_r - r), [], None
+        idx = perm.indices(p + r + 1, p + r + k)
         if not ordering.incremental:
             try:
                 for s in range(r + 1, r + k + 1):
                     gathers.append(_gather(ordering, p, s))
             except Exception as exc:
-                k, error = len(gathers), exc
-        if not k:
-            raise error
-        idx = perm.indices(p + r + 1, p + r + k)
+                idx, error = idx[:len(gathers)], exc
         groups, fetch_error = _fetch(seq, idx, members, check)
         error = fetch_error or error
         if not groups:
