@@ -260,7 +260,8 @@ class ProductStep:
 
     @property
     def order(self) -> tuple[int, ...]:
-        return tuple(self.permutation.index_at(q) for q in self.positions)
+        q = np.asarray(self.positions)
+        return tuple(self.permutation.indices(q.min(), q.max())[q - q.min()].tolist())
 
     def factor_positions(self) -> frozenset[int]:
         return frozenset(self.positions)
