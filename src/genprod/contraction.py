@@ -93,9 +93,8 @@ def lp_gamma(k: float) -> float:
     return (1.0 - k) / (1.0 + k)
 
 
-def _is_identity(A: np.ndarray, atol: float = 1e-12) -> bool:
-    n = A.shape[0]
-    return bool(np.all(np.abs(A - np.eye(n)) <= atol))
+def _is_identity(A: np.ndarray) -> bool:
+    return bool(np.all(np.abs(A - np.eye(A.shape[0])) <= 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,13 @@ def _standard_normal(rng, shape, cplx: bool) -> np.ndarray:
     return X
 
 
-def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
+def as_vector(x, n: int | None = None) -> np.ndarray:
     v = np.asarray(x)
     if v.dtype.kind not in "fc":
         v = v.astype(float)
     v = v.reshape(-1)
     if n is not None and v.shape[0] != n:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
+        raise ValueError(f"vector has length {v.shape[0]}, expected {n}")
     return v
 
 
@@ -552,22 +552,20 @@ def operator_norms(S, norm: VectorNorm = L1) -> np.ndarray:
     return out
 
 
-def operator_norm(A, norm: VectorNorm = L1, *, samples: int = 4096,
-                  seed: int = 0) -> float:
+def operator_norm(A, norm: VectorNorm = L1, *, seed: int = 0) -> float:
     """Induced operator norm of A.
 
     Closed forms: l1 (max absolute column sum), linf (max absolute row sum),
     weighted l1, and l2 via the Gram eigendecomposition.  Additive
     norms whose parts are invariant reduce to the two restricted norms; any
     remaining case falls back to the sampling optimizer of
-    :func:`partial_norm` on the full space and is a certified lower bound
-    only (the result's strategy records this).
+    :func:`partial_norm` (its default samples, this ``seed``) on the full
+    space and is a certified lower bound only.
     """
     A = as_matrix(A)
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return 0.0
-    value, _, _ = _operator_norm_detail(A, norm, samples=samples, seed=seed)
+    value, _, _ = _operator_norm_detail(A, norm, seed=seed)
     return value
 
 
@@ -748,7 +746,7 @@ def _probe_coords(A, H: Subspace, rng, samples: int) -> np.ndarray:
         blocks.append(Bh[:, j] - Bh[:, l])
     try:
         _, top = _top_singular(A @ H.basis)
-        if top is not None and np.linalg.norm(top) > 0:
+        if np.linalg.norm(top) > 0:
             blocks.append(top.reshape(-1, 1))
     except np.linalg.LinAlgError:
         pass
@@ -866,7 +864,7 @@ def partial_norm(A, H: Subspace, norm: VectorNorm = L1, *,
         if isinstance(norm, PNorm) and norm.p == 2.0:
             value, coords = _top_singular(A @ H.basis)
             witness = None
-            if coords is not None and np.linalg.norm(coords) > 0:
+            if np.linalg.norm(coords) > 0:
                 witness = H.basis @ coords
                 witness = _readonly(witness / norm(witness))
             return PartialNormResult(value, witness, "closed_form",

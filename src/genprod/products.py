@@ -445,9 +445,8 @@ def _product_blocks(seq: MatrixSequence, sched: ProductSchedule, max_r: int,
 # ---------------------------------------------------------------------------
 
 def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
-                           r_max: int,
-                           permutation: Permutation = Permutation()) -> np.ndarray:
-    """Running products of max(mu, 1) over the permuted factors past p.
+                           r_max: int) -> np.ndarray:
+    """Running products of max(mu, 1) over the factors past p.
 
     Entry r-1 bounds every general product of the first r factors in the given
     norm, once multiplied by the running product of min(mu, 1); the array is
@@ -456,7 +455,9 @@ def bound_from_condition_C(seq: MatrixSequence, norm: VectorNorm, p: int,
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    groups, error = _fetch(seq, permutation.indices(p + 1, p + r_max), _members(seq))
+    if p < 0:
+        raise ValueError("offset p must be nonnegative")
+    groups, error = _fetch(seq, np.arange(p + 1, p + r_max + 1), _members(seq))
     if error is not None:
         raise error
     mus = np.concatenate([operator_norms(B, norm) for B in groups])

@@ -150,23 +150,29 @@ class TailModel:
         return self.tail.accumulation_points()
 
 
+def _diverges(model: TailModel, above: bool) -> bool | None:
+    """Does the series of |mu_i - 1| over the terms above 1 (or below 1)
+    diverge?  None when a prefix has no declared tail."""
+    if model.kind == "p_series":
+        if model.limit != 1.0:
+            # The terms tend to |limit - 1| > 0 on the limit's side only.
+            return (model.limit > 1.0) == above
+        # The terms amplitude / i**exponent sit on the family's own side.
+        return (model.side == "above") == above and model.amplitude > 0.0 \
+            and model.exponent <= 1.0
+    if model.kind == "periodic":
+        return max(model.values) > 1.0 if above else min(model.values) < 1.0
+    if model.tail is None:
+        return None
+    return _diverges(model.tail, above)
+
+
 def check_condition_C(model: TailModel) -> ConditionVerdict:
     """Does the above-1 excess series of the family converge?"""
-    if model.kind == "p_series":
-        if model.limit > 1.0:
-            return ConditionVerdict.FAILS
-        if model.limit < 1.0:
-            # Only finitely many terms exceed 1.
-            return ConditionVerdict.HOLDS
-        if model.side == "below" or model.amplitude == 0.0:
-            # No term exceeds 1 (amplitude 0 is the constant family 1).
-            return ConditionVerdict.HOLDS
-        return ConditionVerdict.HOLDS if model.exponent > 1.0 else ConditionVerdict.FAILS
-    if model.kind == "periodic":
-        return ConditionVerdict.HOLDS if max(model.values) <= 1.0 else ConditionVerdict.FAILS
-    if model.tail is None:
+    diverges = _diverges(model, above=True)
+    if diverges is None:
         return ConditionVerdict.UNDECIDABLE
-    return check_condition_C(model.tail)
+    return ConditionVerdict.FAILS if diverges else ConditionVerdict.HOLDS
 
 
 def check_condition_D(model: TailModel,
@@ -177,30 +183,10 @@ def check_condition_D(model: TailModel,
     condition holds as soon as the full family or any declared subfamily
     makes the deficit series diverge.
     """
-    verdict = _condition_D_single(model)
-    if verdict == ConditionVerdict.HOLDS:
-        return verdict
-    for sub in subfamilies:
-        if _condition_D_single(sub) == ConditionVerdict.HOLDS:
-            return ConditionVerdict.HOLDS
-    return verdict
-
-
-def _condition_D_single(model: TailModel) -> ConditionVerdict:
-    if model.kind == "p_series":
-        if model.limit < 1.0:
-            return ConditionVerdict.HOLDS
-        if model.limit > 1.0:
-            return ConditionVerdict.FAILS
-        if model.side == "above" or model.amplitude == 0.0:
-            # No term falls below 1 (amplitude 0 is the constant family 1).
-            return ConditionVerdict.FAILS
-        return ConditionVerdict.HOLDS if model.exponent <= 1.0 else ConditionVerdict.FAILS
-    if model.kind == "periodic":
-        return ConditionVerdict.HOLDS if min(model.values) < 1.0 else ConditionVerdict.FAILS
-    if model.tail is None:
-        return ConditionVerdict.UNDECIDABLE
-    return _condition_D_single(model.tail)
+    diverges = _diverges(model, above=False)
+    if diverges or any(_diverges(sub, above=False) for sub in subfamilies):
+        return ConditionVerdict.HOLDS
+    return ConditionVerdict.UNDECIDABLE if diverges is None else ConditionVerdict.FAILS
 
 
 @dataclass(frozen=True, eq=False)

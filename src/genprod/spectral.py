@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import (
-    L1,
     Subspace,
     VectorNorm,
     as_matrix,
     complementary_pair,
-    mean_zero_subspace,
     partial_norm,
     restrict,
 )
-from .stochastic import validate_stochastic
+from .stochastic import ergodicity_coefficient_l1, validate_stochastic
 
 CLUSTER_REL_TOL = 1e-6
 RANK_REL_TOL = 1e-9
@@ -226,28 +224,25 @@ class SimpleOneReport:
     passed: bool
 
 
-def stochastic_simple_one(A, norm: VectorNorm = L1, *, tol: float = 1e-8,
-                          samples: int = 4096, seed: int = 0) -> SimpleOneReport:
+def stochastic_simple_one(A, *, tol: float = 1e-8) -> SimpleOneReport:
     """Strictly contracting stochastic matrices have a simple eigenvalue 1.
 
-    Requires the coefficient of ergodicity (for the given norm) to be below
-    1; then verifies that 1 is an algebraically simple eigenvalue and that
-    every other eigenvalue's modulus is at most the coefficient (plus
-    tolerance).
+    Requires the absolute-sum coefficient of ergodicity (the closed form
+    :func:`ergodicity_coefficient_l1`) to be below 1; then verifies that 1
+    is an algebraically simple eigenvalue and that every other eigenvalue's
+    modulus is at most the coefficient (plus tolerance).
     """
     A = validate_stochastic(A)
-    H = mean_zero_subspace(A.shape[0])
-    # Validation already states that H is invariant (unit column sums).
-    res = partial_norm(A, H, norm, samples=samples, seed=seed, check=False)
-    if not res.is_exact or res.value >= 1.0:
+    w = ergodicity_coefficient_l1(A, validate=False)
+    if w >= 1.0:
         raise ValueError(
             f"precondition unmet: coefficient of ergodicity is "
-            f"{res.value:.6g} (needs an exact value below 1)")
+            f"{w:.6g} (needs an exact value below 1)")
     rep = multiplicities(A, 1.0)
     eig = np.linalg.eigvals(A)
     others = eig[np.abs(eig - 1.0) > rep.cluster_tol]
     sub = float(np.abs(others).max()) if others.size else 0.0
-    passed = rep.algebraic == 1 and sub <= res.value + tol
-    return SimpleOneReport(coefficient=res.value, algebraic_one=rep.algebraic,
+    passed = rep.algebraic == 1 and sub <= w + tol
+    return SimpleOneReport(coefficient=w, algebraic_one=rep.algebraic,
                            subdominant_modulus=sub, tolerance=tol,
                            passed=passed)

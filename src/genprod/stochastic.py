@@ -67,11 +67,12 @@ def validate_stochastic(A, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     return A
 
 
-def _stochastic_mask(S: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
+def _stochastic_mask(S: np.ndarray) -> np.ndarray:
     """Which matrices of a finite stack S (m, n, n) :func:`validate_stochastic`
     accepts, by the same tests."""
     if np.iscomplexobj(S):
         return np.zeros(len(S), dtype=bool)
+    tol = STOCHASTIC_TOL
     return ~((S.min(axis=1) < -tol) | (np.abs(S.sum(axis=1) - 1.0) > tol)).any(axis=1)
 
 
@@ -136,22 +137,18 @@ def _coefficients(S: np.ndarray) -> np.ndarray:
     return 0.5 * column_pair_distances(S).max(axis=1)
 
 
-def general_coefficient(A, norm: VectorNorm = L1, *, samples: int = 4096,
-                        seed: int = 0, route: str = "auto") -> float:
+def general_coefficient(A, norm: VectorNorm = L1) -> float:
     """Coefficient of ergodicity for an arbitrary norm.
 
-    The largest amplification of ``norm`` over the mean-zero hyperplane; for
-    the absolute-sum norm this matches :func:`ergodicity_coefficient_l1`.
-    ``route="sample"`` forces the sampling optimizer (the independent oracle
-    for the closed form).  Validation already states that every column sums
-    to 1 within ``STOCHASTIC_TOL``, which is invariance of the hyperplane, so
-    no second invariance check runs.
+    The largest amplification of ``norm`` over the mean-zero hyperplane, by
+    :func:`genprod.norms.partial_norm` with its default samples and seed; for
+    the absolute-sum norm this is :func:`ergodicity_coefficient_l1` (to the
+    last bit from n = 3 on).  Validation already states that every column
+    sums to 1 within ``STOCHASTIC_TOL``, which is invariance of the
+    hyperplane, so no second invariance check runs.
     """
     A = validate_stochastic(A)
-    H = mean_zero_subspace(A.shape[0])
-    res = partial_norm(A, H, norm, samples=samples, seed=seed, route=route,
-                       check=False)
-    return res.value
+    return partial_norm(A, mean_zero_subspace(A.shape[0]), norm, check=False).value
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +345,8 @@ def overlap_probe(A) -> OverlapReport:
     A = validate_stochastic(A)
     pos = A > 1e-12
     multi = bool((pos.sum(axis=1) >= 2).any())
-    n = A.shape[0]
-    scram = True
-    for j in range(n):
-        for l in range(j + 1, n):
-            if not bool(np.any(pos[:, j] & pos[:, l])):
-                scram = False
-                break
-        if not scram:
-            break
+    # Every pair of columns shares a positive row: no zero in pos^T pos.
+    scram = bool((pos.T.astype(int) @ pos.astype(int) > 0).all())
     w = ergodicity_coefficient_l1(A, validate=False)
     return OverlapReport(has_multi_positive_row=multi, scrambling=scram,
                          coefficient=w, contracts=w < 1.0)

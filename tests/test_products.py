@@ -320,6 +320,14 @@ def test_bound_unbounded_for_harmonic_excess():
     np.testing.assert_allclose(M, np.arange(2, 52), rtol=1e-12)
 
 
+@pytest.mark.parametrize("p,r_max", [(-1, 5), (0, 0)])
+def test_bound_rejects_a_negative_offset_or_an_empty_range(p, r_max):
+    # A negative offset would read a built family's members from its end.
+    seq = MatrixSequence.periodic([2.0 * np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError):
+        bound_from_condition_C(seq, L1, p, r_max)
+
+
 def test_monitor_halving_crosses_at_27():
     seq = MatrixSequence.constant(0.5 * np.eye(2))
     trace = monitor_convergence(seq, ProductSchedule(), L1, 1e-8, 100)

@@ -84,6 +84,85 @@ def test_condition_D_declared_subfamily():
     assert check_condition_D(full, subfamilies=[sub]) == HOLDS
 
 
+def _p_series_verdicts(limit, side, amplitude, exponent):
+    """(C, D) for limit +- amplitude / i**exponent, from the series alone.
+
+    Off limit 1 every term lies on the limit's side of 1 (amplitude <= 0.3
+    keeps 0.5 + 0.3 below and 1.5 - 0.3 above), and those terms tend to
+    |limit - 1| > 0, so that side's series diverges and the other side's is
+    empty.  At limit 1 the terms sit on ``side`` and form the p-series
+    sum amplitude / i**exponent, which converges iff amplitude is 0 or
+    exponent > 1; the other side's series is empty.
+    """
+    if limit < 1.0:
+        return HOLDS, HOLDS
+    if limit > 1.0:
+        return FAILS, FAILS
+    p_series_diverges = amplitude > 0.0 and exponent <= 1.0
+    if side == "above":
+        return (FAILS if p_series_diverges else HOLDS), FAILS
+    return HOLDS, (HOLDS if p_series_diverges else FAILS)
+
+
+P_SERIES_GRID = [(limit, side, amplitude, exponent)
+                 for limit in (0.5, 1.0, 1.5)
+                 for side in ("above", "below")
+                 for amplitude in (0.0, 0.3)
+                 for exponent in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("limit,side,amplitude,exponent", P_SERIES_GRID)
+def test_p_series_condition_grid(limit, side, amplitude, exponent):
+    model = TailModel.p_series(amplitude, exponent, side, limit=limit)
+    assert (check_condition_C(model), check_condition_D(model)) == \
+        _p_series_verdicts(limit, side, amplitude, exponent)
+
+
+# (model, C, D): the excess series diverges iff some period value exceeds 1,
+# the deficit series iff some period value is below 1; a prefix is finitely
+# many terms, so only its tail decides, and without a tail nothing does.
+CONDITION_GRID = [
+    (TailModel.periodic([0.5, 0.9]), HOLDS, HOLDS),            # below 1
+    (TailModel.periodic([1.0]), HOLDS, FAILS),                 # at 1
+    (TailModel.periodic([1.0, 0.5]), HOLDS, HOLDS),            # at and below
+    (TailModel.periodic([1.0, 1.3]), FAILS, FAILS),            # at and above
+    (TailModel.periodic([1.2, 1.1]), FAILS, FAILS),            # above 1
+    (TailModel.periodic([0.5, 1.2]), FAILS, HOLDS),            # across 1
+    (TailModel.with_prefix([2.0, 0.1], TailModel.periodic([1.0])), HOLDS, FAILS),
+    (TailModel.with_prefix([0.5], TailModel.p_series(0.3, 1.0, "below")),
+     HOLDS, HOLDS),
+    (TailModel.with_prefix([0.5], TailModel.p_series(0.3, 0.5, "above")),
+     FAILS, FAILS),
+    (TailModel.with_prefix([0.9], TailModel.with_prefix(
+        [1.1], TailModel.periodic([0.8, 1.4]))), FAILS, HOLDS),
+    (TailModel.with_prefix([1.5], None), UNDECIDABLE, UNDECIDABLE),
+    (TailModel.with_prefix([0.9], TailModel.with_prefix([1.1], None)),
+     UNDECIDABLE, UNDECIDABLE),
+    (TailModel.with_prefix([], None), UNDECIDABLE, UNDECIDABLE),
+]
+
+
+@pytest.mark.parametrize("model,c,d", CONDITION_GRID)
+def test_periodic_and_prefix_condition_grid(model, c, d):
+    assert (check_condition_C(model), check_condition_D(model)) == (c, d)
+
+
+@pytest.mark.parametrize("model,subfamilies,d", [
+    # A diverging subfamily decides D whatever the full family says.
+    (TailModel.p_series(0.3, 2.0, "above"),
+     [TailModel.periodic([1.2]), TailModel.p_series(0.3, 1.0, "below")], HOLDS),
+    (TailModel.with_prefix([0.5], None), [TailModel.periodic([0.9])], HOLDS),
+    # Otherwise the full family's own verdict stands.
+    (TailModel.periodic([0.5]), [TailModel.periodic([1.2])], HOLDS),
+    (TailModel.p_series(0.3, 2.0, "above"),
+     [TailModel.periodic([1.2]), TailModel.p_series(0.3, 2.0, "below")], FAILS),
+    (TailModel.with_prefix([0.5], None), [TailModel.periodic([1.0])], UNDECIDABLE),
+    (TailModel.periodic([1.0]), [TailModel.with_prefix([0.5], None)], FAILS),
+])
+def test_condition_D_subfamily_grid(model, subfamilies, d):
+    assert check_condition_D(model, subfamilies=subfamilies) == d
+
+
 def test_tail_model_values_and_bounds():
     m = TailModel.p_series(0.5, 1.0, "below")
     np.testing.assert_allclose(m.prefix(3), [0.5, 0.75, 1 - 1 / 6])

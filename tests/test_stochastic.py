@@ -51,6 +51,22 @@ def test_accepted_column_sum_drift_is_accepted_by_every_coefficient():
             f(B)
 
 
+def test_every_l1_coefficient_route_gives_the_closed_form_bits():
+    # stochastic_simple_one reads the closed form; general_coefficient reads
+    # partial_norm's column-pair route, except at n = 2, where the mean-zero
+    # line takes its one-direction route and may differ in the last bit.
+    rng = np.random.default_rng(11)
+    for n in range(2, 41):
+        for _ in range(6 if n < 6 else 2):
+            A = random_stochastic(n, rng)
+            w = ergodicity_coefficient_l1(A)
+            assert stochastic_simple_one(A).coefficient == w
+            if n > 2:
+                assert general_coefficient(A) == w
+            else:
+                assert general_coefficient(A) == pytest.approx(w, rel=4e-16)
+
+
 def test_validate_points_at_bad_column():
     A = np.array([[0.5, 0.9], [0.5, 0.2]])
     with pytest.raises(StochasticityError) as err:
@@ -338,6 +354,30 @@ def test_overlap_block_counterexample():
     assert rep.has_multi_positive_row
     assert not rep.scrambling
     assert rep.coefficient == 1.0 and not rep.contracts
+
+
+def test_overlap_scrambling_is_the_pairwise_definition_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    blocks = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]   # the two-block counterexample
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(pattern=st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)), seed=st.integers(0, 2**32 - 1))
+    @hyp.example(pattern=blocks, seed=0)
+    def prop(pattern, seed):
+        pos = np.array(pattern, dtype=bool)
+        n = len(pos)
+        pos[np.arange(n), np.arange(n)] |= ~pos.any(axis=0)  # no empty column
+        A = np.where(pos, np.random.default_rng(seed).uniform(0.1, 1.0, (n, n)), 0.0)
+        A /= A.sum(axis=0)
+        pairwise = all(np.any(pos[:, j] & pos[:, l])
+                       for j in range(n) for l in range(j + 1, n))
+        assert overlap_probe(A).scrambling == pairwise
+
+    prop()
 
 
 def test_nonidentity_stochastic_never_l1_paracontracting():
